@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import ScenarioParams
 from .numerics import QuadratureError, cond_max_mean, dilog, integrate, trunc_mean
@@ -371,10 +371,18 @@ def ratio_t2_sm_stopping(params: ScenarioParams) -> float:
 # report
 # ---------------------------------------------------------------------------
 
+def _emitted(method: str):
+    # a report field that the `analytic` command emits as one row with `method`
+    return field(metadata={"method": method})
+
+
 @dataclass(frozen=True)
 class AnalyticReport:
     """Every closed-form quantity for one scenario, plus method bookkeeping.
 
+    Field order is the row order of the ``analytic`` command. It emits only
+    the fields that carry a method in their ``dataclasses.field`` metadata:
+    "method" names it, or "method_field" names the field that holds it.
     ``e_t1_sc`` holds the value selected by ``t1_method``;
     ``t1_closed_deviation`` is |closed_form - quadrature| so the two routes
     can be audited without re-deriving either. ``r2_*_negative`` flag ratios
@@ -383,28 +391,28 @@ class AnalyticReport:
     """
 
     params: ScenarioParams
-    p_v: float
-    e_tau1_sc: float
-    e_t1_sc: float
+    p_v: float = _emitted("closed_form")
+    e_tau1_sc: float = _emitted("closed_form")
+    e_t1_sc: float = field(metadata={"method_field": "t1_method"})
     t1_method: str
-    e_t1_sc_closed: float
-    t1_closed_deviation: float
-    e_m_sm: float
-    e_m_sc: float
-    e_unserved_per_handoff: float
-    r2_sc: float
+    e_t1_sc_closed: float = _emitted("closed_form")
+    t1_closed_deviation: float = _emitted("")
+    e_m_sm: float = _emitted("closed_form")
+    e_m_sc: float = _emitted("closed_form")
+    e_unserved_per_handoff: float = _emitted("closed_form")
+    r2_sc: float = _emitted("closed_form")
     r2_sc_negative: bool
-    p_s_prime: float
-    delta: float
-    p_v_hat_1: float
-    p_v_hat_2: float
-    e_m_sm_stop_sum: float
-    e_m_sm_stop_geo: float
-    truncation_terms: int
-    e_tau_sm_stop_1: float
-    e_tau_sm_stop_2: float
-    a2_tilde: float
-    r2_sm_stop: float
+    p_s_prime: float = _emitted("closed_form")
+    delta: float = _emitted("closed_form")
+    p_v_hat_1: float = _emitted("closed_form")
+    p_v_hat_2: float = _emitted("closed_form")
+    e_m_sm_stop_sum: float = _emitted("series_sum")
+    truncation_terms: int = _emitted("series_sum")
+    e_m_sm_stop_geo: float = _emitted("geometric")
+    e_tau_sm_stop_1: float = _emitted("closed_form")
+    e_tau_sm_stop_2: float = _emitted("closed_form")
+    a2_tilde: float = _emitted("closed_form")
+    r2_sm_stop: float = _emitted("closed_form")
     r2_sm_stop_negative: bool
 
 

@@ -6,11 +6,13 @@ Commands:
   compare    closed forms vs simulation, one row per quantity, with gating
   sweep      compare over a Cartesian parameter grid
 
-Rows share one schema (see _COLUMNS) so every output is a plot-ready table;
-each row embeds the full scenario, rounds, and seed, making it reproducible
-from the file alone. Comparison rows are tiered: "hard" rows are exact
-results the simulation must confirm (the command exits 2 if one misses by
-more than three standard errors), "soft" rows are approximations whose
+Rows share one schema, the fields of CompareRow, so every output is a
+plot-ready table; each row embeds the full scenario, rounds, and seed, making
+it reproducible from the file alone. Which quantity is compared with which
+formula, by which method and under which tier is declared once, in the
+quantity table _QUANTITIES. Comparison rows are tiered: "hard" rows are
+exact results the simulation must confirm (the command exits 2 if one misses
+by more than three standard errors), "soft" rows are approximations whose
 error is reported, never gated. Sweeps only report; they never gate.
 """
 from __future__ import annotations
@@ -19,23 +21,18 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import sys
 from csv import writer as csv_writer
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import ScenarioParams, SimConfig, Strategy
 from .numerics import trunc_mean
 from . import analytic
-from .sim import SimSummary, simulate_many, trace_rounds
+from .sim import simulate_many, trace_rounds
 
 _EPS_REL = 1e-12
 _GATE_CUSHION = 1e-12
-
-_COLUMNS = (
-    "lambda", "tm", "th", "ps", "ts", "strategy", "rounds", "seed",
-    "quantity", "analytic", "method", "sim_mean", "sim_ci95",
-    "abs_err", "rel_err", "tier",
-)
 
 _AXIS_FIELDS = ("lambda", "tm", "th", "ps", "ts")
 _SCALAR_KEYS = ("strategy", "rounds", "seed", "format", "out", "traces")
@@ -78,6 +75,10 @@ class CompareRow:
     abs_err: float | None
     rel_err: float | None
     tier: str
+
+
+_COLUMNS = tuple("lambda" if f.name == "lam" else f.name for f in fields(CompareRow))
+_row_values = operator.attrgetter(*(f.name for f in fields(CompareRow)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,74 +262,138 @@ def _row(params, strategy, rounds, seed, quantity, analytic_value, method,
     )
 
 
-def _analytic_entries(params: ScenarioParams, quad_tol=1e-9, tail_tol=1e-10):
-    """(quantity, value, method) for every field of the closed-form report."""
-    rep = analytic.build_report(params, quad_tol=quad_tol, tail_tol=tail_tol)
-    return [
-        ("p_v", rep.p_v, "closed_form"),
-        ("e_tau1_sc", rep.e_tau1_sc, "closed_form"),
-        ("e_t1_sc", rep.e_t1_sc, rep.t1_method),
-        ("e_t1_sc_closed", rep.e_t1_sc_closed, "closed_form"),
-        ("t1_closed_deviation", rep.t1_closed_deviation, ""),
-        ("e_m_sm", rep.e_m_sm, "closed_form"),
-        ("e_m_sc", rep.e_m_sc, "closed_form"),
-        ("e_unserved_per_handoff", rep.e_unserved_per_handoff, "closed_form"),
-        ("r2_sc", rep.r2_sc, "closed_form"),
-        ("p_s_prime", rep.p_s_prime, "closed_form"),
-        ("delta", rep.delta, "closed_form"),
-        ("p_v_hat_1", rep.p_v_hat_1, "closed_form"),
-        ("p_v_hat_2", rep.p_v_hat_2, "closed_form"),
-        ("e_m_sm_stop_sum", rep.e_m_sm_stop_sum, "series_sum"),
-        ("truncation_terms", float(rep.truncation_terms), "series_sum"),
-        ("e_m_sm_stop_geo", rep.e_m_sm_stop_geo, "geometric"),
-        ("e_tau_sm_stop_1", rep.e_tau_sm_stop_1, "closed_form"),
-        ("e_tau_sm_stop_2", rep.e_tau_sm_stop_2, "closed_form"),
-        ("a2_tilde", rep.a2_tilde, "closed_form"),
-        ("r2_sm_stop", rep.r2_sm_stop, "closed_form"),
-    ]
+_REPORT_ROWS = tuple(
+    (f.name, f.metadata.get("method"), f.metadata.get("method_field"))
+    for f in fields(analytic.AnalyticReport) if f.metadata
+)
 
 
 def run_analytic(spec: RunSpec) -> list[CompareRow]:
-    """Closed-form battery as rows (sim columns empty)."""
-    params = spec.params
+    """Closed-form battery as rows (sim columns empty), in report field order."""
+    rep = analytic.build_report(spec.params)
     return [
-        _row(params, spec.strategy, None, None, name, value, method,
+        _row(spec.params, spec.strategy, None, None, name,
+             float(getattr(rep, name)),
+             method if method_field is None else getattr(rep, method_field),
              None, None, "")
-        for name, value, method in _analytic_entries(params)
+        for name, method, method_field in _REPORT_ROWS
     ]
 
 
-def _summary_rows(params, strategy, summary: SimSummary, rounds, seed,
-                  tiers=None, analytics=None,
-                  include_unmatched: bool = True) -> list[CompareRow]:
-    # include_unmatched keeps sim-only quantities (no analytic counterpart);
-    # comparison output drops them so every emitted row carries an error
-    tiers = tiers or {}
-    analytics = analytics or {}
+# Simulated statistics in output order; each is a SimSummary field except r2.
+_STATS = ("p_vertical", "first_service_offset", "first_gap_offset",
+          "m_handoffs", "u_unserved", "t2_duration", "t1_duration", "r2")
+
+
+def _sim_estimate(summary, stat: str) -> tuple[float, float]:
+    """(mean, 95% half-width) of one simulated statistic."""
+    if stat == "r2":
+        return summary.r2_estimate, 1.96 * summary.r2_std_error
+    mc = getattr(summary, stat)
+    return mc.mean, mc.ci95_half_width
+
+
+def _always(p):
+    return True
+
+
+def _never(p):
+    return False
+
+
+def _plain(p):
+    # the service, t2 and r2 closed forms reduce to exact ones
+    return p.p_s == 0.0
+
+
+def _stopping(p):
+    return p.p_s != 0.0
+
+
+def _plain_dynamics(p):
+    return not p.stopping
+
+
+def _stopping_dynamics(p):
+    return p.stopping
+
+
+def _free_handoff(p):
+    return p.t_h == 0.0
+
+
+# the idle gap before a round is Exp(lam) under either policy
+_T1_DURATION = ("t1_duration", "closed_form", lambda p, got: 1.0 / p.lam, _always, _always)
+
+# The quantity table: one entry per comparison row, in output order.
+# (stat, method, formula(params, got), hard(params), applies(params)); `got`
+# maps each stat already computed at this point to its first analytic value.
+# Formulas reach the closed forms through the `analytic` module attribute at
+# call time, so a stand-in module there sees every call.
+_QUANTITIES = {
+    Strategy.SC_LATEST_AT_EXPIRY: (
+        ("p_vertical", "closed_form", lambda p, got: analytic.p_vertical(p), _always, _always),
+        ("first_service_offset", "closed_form",
+         lambda p, got: analytic.expected_tau1_sc(p), _always, _always),
+        ("first_gap_offset", "quadrature",
+         lambda p, got: analytic.expected_t1_sc(p), _never, _always),
+        ("m_handoffs", "closed_form",
+         lambda p, got: analytic.expected_handoffs_sc(p), _never, _always),
+        ("u_unserved", "closed_form",
+         lambda p, got: analytic.expected_handoffs_sm(p) - got["m_handoffs"], _never, _always),
+        ("t2_duration", "closed_form",
+         lambda p, got: (1.0 - got["p_vertical"]) / (p.lam * got["p_vertical"]),
+         _always, _always),
+        _T1_DURATION,
+        ("r2", "closed_form", lambda p, got: analytic.ratio_t2_sc(p), _free_handoff, _always),
+    ),
+    Strategy.SM_SERVE_ALL: (
+        ("p_vertical", "closed_form",
+         lambda p, got: analytic.p_vertical_hat(p, 1), _always, _always),
+        ("first_service_offset", "closed_form",
+         lambda p, got: trunc_mean(p.lam * p.t_m, p.lam), _always, _plain),
+        ("first_service_offset", "closed_form",
+         lambda p, got: analytic.expected_service_sm_stopping(p, 1), _never, _stopping),
+        ("first_gap_offset", "closed_form",
+         lambda p, got: trunc_mean(p.lam * p.t_m, p.lam), _always, _plain),
+        ("first_gap_offset", "closed_form",
+         lambda p, got: analytic.expected_service_sm_stopping(p, 2), _never, _stopping),
+        ("m_handoffs", "closed_form",
+         lambda p, got: analytic.expected_handoffs_sm(p), _always, _plain_dynamics),
+        ("m_handoffs", "series_sum",
+         lambda p, got: analytic.expected_handoffs_sm_stopping_sum(p), _never,
+         _stopping_dynamics),
+        ("m_handoffs", "geometric",
+         lambda p, got: analytic.expected_handoffs_sm_stopping_geo(p), _never,
+         _stopping_dynamics),
+        ("u_unserved", "closed_form", lambda p, got: 0.0, _always, _plain_dynamics),
+        ("t2_duration", "closed_form",
+         lambda p, got: analytic.expected_t2_stopping(p), _plain, _always),
+        _T1_DURATION,
+        ("r2", "closed_form", lambda p, got: analytic.ratio_t2_sm_stopping(p), _plain, _always),
+    ),
+}
+
+
+def _point_rows(params: ScenarioParams, strategy: Strategy, rounds: int,
+                seed: int, compare: bool) -> list[CompareRow]:
+    """Rows for one simulated point: every table entry that applies, or
+    with compare=False every simulated statistic, analytic columns empty."""
+    summary = simulate_many(params, strategy, SimConfig(rounds=rounds, seed=seed))
     rows = []
-    stats = [
-        ("p_vertical", summary.p_vertical),
-        ("first_service_offset", summary.first_service_offset),
-        ("first_gap_offset", summary.first_gap_offset),
-        ("m_handoffs", summary.m_handoffs),
-        ("u_unserved", summary.u_unserved),
-        ("t2_duration", summary.t2_duration),
-        ("t1_duration", summary.t1_duration),
-    ]
-    for name, mc in stats:
-        if name not in analytics and not include_unmatched:
-            continue
-        specs = analytics.get(name, [(None, "")])
-        for value, method in specs:
-            rows.append(_row(params, strategy, rounds, seed, name, value,
-                             method, mc.mean, mc.ci95_half_width,
-                             tiers.get(name, "")))
-    if "r2" in analytics or include_unmatched:
-        r2_specs = analytics.get("r2", [(None, "")])
-        for value, method in r2_specs:
-            rows.append(_row(params, strategy, rounds, seed, "r2", value,
-                             method, summary.r2_estimate,
-                             1.96 * summary.r2_std_error, tiers.get("r2", "")))
+    if compare:
+        got: dict[str, float] = {}
+        for stat, method, formula, hard, applies in _QUANTITIES[strategy]:
+            if applies(params):
+                value = formula(params, got)
+                got.setdefault(stat, value)
+                rows.append(_row(params, strategy, rounds, seed, stat, value, method,
+                                 *_sim_estimate(summary, stat),
+                                 "hard" if hard(params) else "soft"))
+    else:
+        for stat in _STATS:
+            rows.append(_row(params, strategy, rounds, seed, stat, None, "",
+                             *_sim_estimate(summary, stat), ""))
     if summary.experimental:
         rows.append(_row(params, strategy, rounds, seed, "experimental_flag",
                          None, "", 1.0, 0.0, ""))
@@ -337,82 +402,16 @@ def _summary_rows(params, strategy, summary: SimSummary, rounds, seed,
 
 def run_simulate(spec: RunSpec) -> list[CompareRow]:
     """Simulation estimates as rows (analytic columns empty)."""
-    summary = simulate_many(
-        spec.params, spec.strategy, SimConfig(rounds=spec.rounds, seed=spec.seed)
-    )
-    return _summary_rows(spec.params, spec.strategy, summary, spec.rounds, spec.seed)
-
-
-def _compare_point(params: ScenarioParams, strategy: Strategy,
-                   rounds: int, seed: int) -> list[CompareRow]:
-    summary = simulate_many(params, strategy, SimConfig(rounds=rounds, seed=seed))
-    lam = params.lam
-    pv = analytic.p_vertical(params)
-    exact_renewal_t2 = (1.0 - pv) / (lam * pv)
-    analytics: dict[str, list] = {"t1_duration": [(1.0 / lam, "closed_form")]}
-    tiers = {"t1_duration": "hard"}
-    if strategy is Strategy.SC_LATEST_AT_EXPIRY:
-        analytics["p_vertical"] = [(pv, "closed_form")]
-        tiers["p_vertical"] = "hard"
-        analytics["first_service_offset"] = [(analytic.expected_tau1_sc(params), "closed_form")]
-        tiers["first_service_offset"] = "hard"
-        analytics["first_gap_offset"] = [(analytic.expected_t1_sc(params), "quadrature")]
-        tiers["first_gap_offset"] = "soft"
-        e_m_sc = analytic.expected_handoffs_sc(params)
-        analytics["m_handoffs"] = [(e_m_sc, "closed_form")]
-        tiers["m_handoffs"] = "soft"
-        analytics["u_unserved"] = [(analytic.expected_handoffs_sm(params) - e_m_sc,
-                                    "closed_form")]
-        tiers["u_unserved"] = "soft"
-        analytics["t2_duration"] = [(exact_renewal_t2, "closed_form")]
-        tiers["t2_duration"] = "hard"
-        analytics["r2"] = [(analytic.ratio_t2_sc(params), "closed_form")]
-        tiers["r2"] = "hard" if params.t_h == 0.0 else "soft"
-    else:
-        plain_formulas = params.p_s == 0.0            # service/t2/r2 forms reduce
-        plain_dynamics = plain_formulas or params.t_s == 0.0
-        analytics["p_vertical"] = [(analytic.p_vertical_hat(params, 1), "closed_form")]
-        tiers["p_vertical"] = "hard"
-        if plain_formulas:
-            tm_mean = trunc_mean(lam * params.t_m, lam)
-            analytics["first_service_offset"] = [(tm_mean, "closed_form")]
-            analytics["first_gap_offset"] = [(tm_mean, "closed_form")]
-            tiers["first_service_offset"] = tiers["first_gap_offset"] = "hard"
-        else:
-            analytics["first_service_offset"] = [
-                (analytic.expected_service_sm_stopping(params, 1), "closed_form")]
-            analytics["first_gap_offset"] = [
-                (analytic.expected_service_sm_stopping(params, 2), "closed_form")]
-            tiers["first_service_offset"] = tiers["first_gap_offset"] = "soft"
-        if plain_dynamics:
-            analytics["m_handoffs"] = [(analytic.expected_handoffs_sm(params),
-                                        "closed_form")]
-            tiers["m_handoffs"] = "hard"
-            analytics["u_unserved"] = [(0.0, "closed_form")]
-            tiers["u_unserved"] = "hard"
-        else:
-            analytics["m_handoffs"] = [
-                (analytic.expected_handoffs_sm_stopping_sum(params), "series_sum"),
-                (analytic.expected_handoffs_sm_stopping_geo(params), "geometric"),
-            ]
-            tiers["m_handoffs"] = "soft"
-        analytics["t2_duration"] = [(analytic.expected_t2_stopping(params),
-                                     "closed_form")]
-        tiers["t2_duration"] = "hard" if plain_formulas else "soft"
-        analytics["r2"] = [(analytic.ratio_t2_sm_stopping(params), "closed_form")]
-        tiers["r2"] = "hard" if plain_formulas else "soft"
-    return _summary_rows(params, strategy, summary, rounds, seed,
-                         tiers=tiers, analytics=analytics,
-                         include_unmatched=False)
+    return _point_rows(spec.params, spec.strategy, spec.rounds, spec.seed, compare=False)
 
 
 def run_compare(spec: RunSpec) -> list[CompareRow]:
     """One comparison row per quantity (two for the stopping handoff count)."""
-    return _compare_point(spec.params, spec.strategy, spec.rounds, spec.seed)
+    return _point_rows(spec.params, spec.strategy, spec.rounds, spec.seed, compare=True)
 
 
 def run_sweep(spec: RunSpec) -> list[CompareRow]:
-    """Comparison rows for every grid point; emits to spec.out as a side effect.
+    """Comparison rows for every grid point.
 
     Point i runs with seed spec.seed + i (echoed in its rows), in
     lexicographic order over the axes (lambda, tm, th, ps, ts), each axis
@@ -424,10 +423,8 @@ def run_sweep(spec: RunSpec) -> list[CompareRow]:
         itertools.product(*(axes[k] for k in _AXIS_FIELDS))
     ):
         params = _validate_point(dict(zip(_AXIS_FIELDS, values)))
-        rows.extend(
-            _compare_point(params, spec.strategy, spec.rounds, spec.seed + index)
-        )
-    emit(rows, spec.fmt, spec.out)
+        rows.extend(_point_rows(params, spec.strategy, spec.rounds,
+                                spec.seed + index, compare=True))
     return rows
 
 
@@ -453,14 +450,7 @@ def hard_violations(rows) -> list[CompareRow]:
 # ---------------------------------------------------------------------------
 
 def row_to_dict(row: CompareRow) -> dict:
-    return {
-        "lambda": row.lam, "tm": row.tm, "th": row.th, "ps": row.ps,
-        "ts": row.ts, "strategy": row.strategy, "rounds": row.rounds,
-        "seed": row.seed, "quantity": row.quantity, "analytic": row.analytic,
-        "method": row.method, "sim_mean": row.sim_mean,
-        "sim_ci95": row.sim_ci95, "abs_err": row.abs_err,
-        "rel_err": row.rel_err, "tier": row.tier,
-    }
+    return dict(zip(_COLUMNS, _row_values(row)))
 
 
 def _cell(value) -> str:
@@ -502,8 +492,7 @@ def _emit_stream(rows, fmt, stream) -> None:
     w = csv_writer(stream, lineterminator="\n")
     w.writerow(_COLUMNS)
     for r in rows:
-        d = row_to_dict(r)
-        w.writerow([_cell(d[c]) for c in _COLUMNS])
+        w.writerow([_cell(v) for v in _row_values(r)])
 
 
 def _emit_trace_dump(params, strategy, seed, count, stream) -> None:
@@ -547,37 +536,30 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"relaylab: error: {exc}", file=sys.stderr)
         return 1
+    run = {"analytic": run_analytic, "simulate": run_simulate,
+           "compare": run_compare, "sweep": run_sweep}[spec.command]
     try:
-        if spec.command == "analytic":
-            rows = run_analytic(spec)
-            emit(rows, spec.fmt, spec.out)
-        elif spec.command == "simulate":
-            rows = run_simulate(spec)
-            emit(rows, spec.fmt, spec.out)
-            if spec.traces > 0:
-                if spec.out is None:
+        rows = run(spec)
+        emit(rows, spec.fmt, spec.out)
+        if spec.command == "simulate" and spec.traces > 0:
+            if spec.out is None:
+                _emit_trace_dump(spec.params, spec.strategy, spec.seed,
+                                 spec.traces, sys.stdout)
+            else:
+                with open(f"{spec.out}.traces.jsonl", "w", encoding="utf-8") as fh:
                     _emit_trace_dump(spec.params, spec.strategy, spec.seed,
-                                     spec.traces, sys.stdout)
-                else:
-                    with open(f"{spec.out}.traces.jsonl", "w",
-                              encoding="utf-8") as fh:
-                        _emit_trace_dump(spec.params, spec.strategy, spec.seed,
-                                         spec.traces, fh)
-        elif spec.command == "compare":
-            rows = run_compare(spec)
-            emit(rows, spec.fmt, spec.out)
+                                     spec.traces, fh)
+        if spec.command == "compare":
             bad = hard_violations(rows)
+            for r in bad:
+                print(
+                    f"relaylab: hard-tier violation: {r.quantity} "
+                    f"analytic {r.analytic!r} vs sim {r.sim_mean!r} "
+                    f"(ci95 {r.sim_ci95!r})",
+                    file=sys.stderr,
+                )
             if bad:
-                for r in bad:
-                    print(
-                        f"relaylab: hard-tier violation: {r.quantity} "
-                        f"analytic {r.analytic!r} vs sim {r.sim_mean!r} "
-                        f"(ci95 {r.sim_ci95!r})",
-                        file=sys.stderr,
-                    )
                 return 2
-        else:
-            run_sweep(spec)
         return 0
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"relaylab: error: {exc}", file=sys.stderr)

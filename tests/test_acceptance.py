@@ -5,6 +5,7 @@ One test per criterion; each prints a single ``[criterion N] PASS/FAIL`` line
 checklist. Statistical checks use frozen seeds and 3-standard-error gates;
 exact identities gate at 1e-12.
 """
+import json
 import math
 
 import numpy as np
@@ -218,30 +219,38 @@ def test_criterion_7_stopping_count_consistency():
     )
 
 
+def _sweep(argv, config, out):
+    """Run a sweep through main with its grid in a config document."""
+    doc = out.with_name(out.name + ".grid.json")
+    doc.write_text(json.dumps(config))
+    assert cli.main([*argv, "--config", str(doc), "--out", str(out)]) == 0
+
+
 def test_criterion_8_approximation_quality_report(tmp_path):
     """Approximation-vs-simulation sweeps run end to end and report an error
     for every row; values are reported, never gated."""
-    plain_out = tmp_path / "plain.csv"
-    spec = cli.parse_run_spec(
+    plain_out = tmp_path / "plain.json"
+    _sweep(
         ["sweep", "--strategy", "sc", "--rounds", "100000", "--seed", "81",
-         "--out", str(plain_out)],
-        config={"lambda": [0.5, 1.0, 2.0], "tm": 1.0, "th": [0.0, 0.05]},
+         "--format", "json"],
+        {"lambda": [0.5, 1.0, 2.0], "tm": 1.0, "th": [0.0, 0.05]},
+        plain_out,
     )
-    plain_rows = cli.run_sweep(spec)
+    plain_rows = json.loads(plain_out.read_text())
 
-    stop_out = tmp_path / "stopping.csv"
-    spec = cli.parse_run_spec(
+    stop_out = tmp_path / "stopping.json"
+    _sweep(
         ["sweep", "--strategy", "sm", "--rounds", "100000", "--seed", "82",
-         "--out", str(stop_out)],
-        config={"lambda": 1.0, "tm": 1.0, "ps": [0.1, 0.3, 0.5],
-                "ts": [0.5, 2.0]},
+         "--format", "json"],
+        {"lambda": 1.0, "tm": 1.0, "ps": [0.1, 0.3, 0.5], "ts": [0.5, 2.0]},
+        stop_out,
     )
-    stop_rows = cli.run_sweep(spec)
+    stop_rows = json.loads(stop_out.read_text())
 
     all_rows = plain_rows + stop_rows
-    missing = [r for r in all_rows if r.rel_err is None]
-    soft = [r for r in all_rows if r.tier == "soft"]
-    worst_soft = max(r.rel_err for r in soft)
+    missing = [r for r in all_rows if r["rel_err"] is None]
+    soft = [r for r in all_rows if r["tier"] == "soft"]
+    worst_soft = max(r["rel_err"] for r in soft)
     ok = (
         not missing
         and plain_out.exists()
@@ -267,8 +276,8 @@ def test_criterion_9_determinism(tmp_path):
     ]
     sweep_cfg = {"lambda": [1.0, 2.0], "tm": 1.0}
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    cli.run_sweep(cli.parse_run_spec(sweep_argv + ["--out", str(a)], config=sweep_cfg))
-    cli.run_sweep(cli.parse_run_spec(sweep_argv + ["--out", str(b)], config=sweep_cfg))
+    _sweep(sweep_argv, sweep_cfg, a)
+    _sweep(sweep_argv, sweep_cfg, b)
     sweep_same = a.read_bytes() == b.read_bytes()
 
     c, d = tmp_path / "c.json", tmp_path / "d.json"

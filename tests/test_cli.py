@@ -286,24 +286,31 @@ class TestGate:
         assert hard_violations([row]) == []
 
 
+def _sweep(argv, config, out):
+    """Run a sweep through main with its grid in a config document."""
+    doc = out.with_name(out.name + ".grid.json")
+    doc.write_text(json.dumps(config))
+    assert main([*argv, "--config", str(doc), "--out", str(out)]) == 0
+
+
 class TestSweep:
     def test_points_in_order_with_stepped_seeds(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        spec = parse_run_spec(
+        out = tmp_path / "sweep.json"
+        _sweep(
             ["sweep", "--strategy", "sc", "--rounds", "2000", "--seed", "5",
-             "--out", str(out)],
-            config={"lambda": [0.5, 1.0], "tm": 1, "th": [0.0, 0.05]},
+             "--format", "json"],
+            {"lambda": [0.5, 1.0], "tm": 1, "th": [0.0, 0.05]}, out,
         )
-        rows = run_sweep(spec)
+        rows = json.loads(out.read_text())
         points = []
         for r in rows:
-            key = (r.lam, r.th, r.seed)
+            key = (r["lambda"], r["th"], r["seed"])
             if key not in points:
                 points.append(key)
         assert points == [
             (0.5, 0.0, 5), (0.5, 0.05, 6), (1.0, 0.0, 7), (1.0, 0.05, 8),
         ]
-        assert all(r.rel_err is not None for r in rows)
+        assert all(r["rel_err"] is not None for r in rows)
         assert out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -313,9 +320,18 @@ class TestSweep:
         ]
         config = {"lambda": [1.0, 2.0], "tm": 1}
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run_sweep(parse_run_spec(argv + ["--out", str(a)], config=config))
-        run_sweep(parse_run_spec(argv + ["--out", str(b)], config=config))
+        _sweep(argv, config, a)
+        _sweep(argv, config, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_returns_rows_without_writing(self, tmp_path):
+        out = tmp_path / "never.csv"
+        spec = parse_run_spec(
+            ["sweep", "--rounds", "500", "--out", str(out)],
+            config={"lambda": [1.0, 2.0], "tm": 1},
+        )
+        assert {r.lam for r in run_sweep(spec)} == {1.0, 2.0}
+        assert not out.exists()
 
 
 class TestMain:
@@ -332,12 +348,17 @@ class TestMain:
         assert main(["compare", "--tm", "1"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_gate_exit(self, capsys, monkeypatch):
-        # forcing the no-relay closed form off by 10% must trip the gate
-        monkeypatch.setattr(cli.analytic, "p_vertical_hat",
-                            lambda params, j: 0.9)
+    @pytest.mark.parametrize("strategy, closed_form", [
+        ("sm", "p_vertical_hat"),
+        ("sc", "p_vertical"),
+    ])
+    def test_gate_exit(self, capsys, monkeypatch, strategy, closed_form):
+        # forcing the no-relay closed form to 0.9 (true value e^-1) must trip
+        # the gate; the patch lands after import, so the table must look it
+        # up at call time
+        monkeypatch.setattr(cli.analytic, closed_form, lambda params, *j: 0.9)
         code = main(
-            ["compare", "--lambda", "1", "--tm", "1", "--strategy", "sm",
+            ["compare", "--lambda", "1", "--tm", "1", "--strategy", strategy,
              "--rounds", "5000", "--seed", "9"]
         )
         assert code == 2
