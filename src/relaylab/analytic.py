@@ -4,8 +4,9 @@ Quantities for the latest-at-expiry policy (``Strategy.SC_LATEST_AT_EXPIRY``):
 vertical-handoff probability, first-window statistics, handoff and unserved
 counts, and the served-time ratio. Quantities for the serve-all policy
 (``Strategy.SM_SERVE_ALL``) additionally cover stopping vehicles through the
-effective-stop-probability chain, the truncated expectation series for the
-handoff count, per-ride service means, and the served-time ratio.
+effective-stop-probability chain, the expectation series for the handoff
+count (summed in closed form), per-ride service means, and the served-time
+ratio.
 
 Two kinds of results live here side by side and the comparison harness keeps
 them apart: exact results (they gate hard against simulation) and
@@ -16,16 +17,28 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .model import ScenarioParams
 from .numerics import QuadratureError, cond_max_mean, dilog, integrate, trunc_mean
 
 _PI2_6 = math.pi * math.pi / 6.0
-_SUM_TERM_CAP = 1_000_000
+_EPS = sys.float_info.epsilon
+
+# Most explicit terms the stopping series may sum. The sum stops at the
+# first of two counts (ln(1 / eps) is about 36): the factors reach their
+# limit to float precision after about 36 / (1 - |delta|) of them, and the
+# terms fall below float precision of the sum after about 36 / p_low, p_low
+# the lowest level. Both pass the guard only when 1 - |delta| and p_low are
+# both below about 4e-4, for example p_s = 1e-5 with p_s lam t_s = 100.
+SERIES_TERM_GUARD = 100_000
 
 DEFAULT_QUAD_TOL = 1e-9
-DEFAULT_TAIL_TOL = 1e-10
+
+
+class SeriesGuardError(ArithmeticError):
+    """The stopping series would need more than SERIES_TERM_GUARD explicit terms."""
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +124,9 @@ def expected_t1_sc(
 
     Raises:
         ValueError: on an unknown method.
+        ZeroDivisionError: closed_form, when e^(lam t_m) rounds to 1.
+        OverflowError: closed_form, when e^(lam t_m) exceeds the float range.
+        QuadratureError: quadrature, when it cannot converge.
     """
     lam, t_m = params.lam, params.t_m
     if method == "quadrature":
@@ -121,6 +137,9 @@ def expected_t1_sc(
     if method == "closed_form":
         x = lam * t_m
         big = math.exp(x)
+        if big == 1.0:
+            raise ZeroDivisionError(
+                f"closed form divides by e^(lam t_m) - 1, which rounds to 0 at lam t_m = {x!r}")
         bracket = (
             dilog(big)
             - _PI2_6
@@ -137,10 +156,18 @@ def expected_handoffs_sm(params: ScenarioParams) -> float:
     """Mean handoff count per round under serve-all, no stopping (exact).
 
     The handoff count is geometric with success probability p_vertical, so
-    the mean is (1 - P_V) / P_V = e^(lam t_m) - 1.
+    the mean is (1 - P_V) / P_V = e^(lam t_m) - 1, evaluated with expm1 so
+    small lam t_m keeps every digit.
+
+    Raises:
+        OverflowError: lam t_m beyond the float range (about 709.8).
     """
-    pv = p_vertical(params)
-    return (1.0 - pv) / pv
+    return math.expm1(params.lam * params.t_m)
+
+
+def _window_pair(params: ScenarioParams, tol: float) -> float:
+    # E[tau1] + E[t1], the mean first-window pair the sc approximations share
+    return expected_tau1_sc(params) + expected_t1_sc(params, tol=tol)
 
 
 def expected_unserved_per_round(
@@ -156,7 +183,10 @@ def expected_unserved_per_round(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
-    pair = expected_tau1_sc(params) + expected_t1_sc(params, tol=tol)
+    return _unserved(params, n, _window_pair(params, tol))
+
+
+def _unserved(params: ScenarioParams, n: int, pair: float) -> float:
     return n * params.lam * pair / 2.0
 
 
@@ -166,24 +196,32 @@ def expected_handoffs_sc(params: ScenarioParams, tol: float = DEFAULT_QUAD_TOL) 
     2 E[M_serve_all] / (lam (E[tau1] + E[t1]) + 2); never exceeds the
     serve-all count.
     """
-    pair = expected_tau1_sc(params) + expected_t1_sc(params, tol=tol)
+    return _handoffs_sc(params, _window_pair(params, tol))
+
+
+def _handoffs_sc(params: ScenarioParams, pair: float) -> float:
     return 2.0 * expected_handoffs_sm(params) / (params.lam * pair + 2.0)
 
 
 def ratio_t2_sc(params: ScenarioParams, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Fraction of a cycle spent served under latest-at-expiry.
 
-    (1 - P_V) - 2 (1 - P_V) t_h / (E[tau1] + E[t1] + 2 / lam).
+    (1 - P_V) - 2 (1 - P_V) t_h / (E[tau1] + E[t1] + 2 / lam), with
+    1 - P_V evaluated by expm1.
 
     Exact at t_h = 0, where it reduces to 1 - P_V; an approximation
     otherwise. Large t_h can push the raw value negative; callers that need
     a flag should use build_report.
     """
-    base = 1.0 - p_vertical(params)
+    return _ratio_t2_sc(params, lambda: _window_pair(params, tol))
+
+
+def _ratio_t2_sc(params: ScenarioParams, pair) -> float:
+    # pair() gives E[tau1] + E[t1]; it is only called when t_h > 0
+    base = -math.expm1(-params.lam * params.t_m)
     if params.t_h == 0.0:
         return base
-    pair = expected_tau1_sc(params) + expected_t1_sc(params, tol=tol)
-    return base - 2.0 * base * params.t_h / (pair + 2.0 / params.lam)
+    return base - 2.0 * base * params.t_h / (pair() + 2.0 / params.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -233,62 +271,133 @@ def p_s_prime_seq(params: ScenarioParams, j: int) -> float:
     return params.p_s * _geom_sum(p_s_delta(params), j + 1)
 
 
+def _level_weights(params: ScenarioParams) -> tuple[float, float, float]:
+    """(pv, w, v) with p_vertical_hat(j) = pv (w + v delta^j) / (w + v).
+
+    w = q (1 + p_s pv) and v = p_s a, where q = e^(-p_s lam t_s) and
+    a = 1 - q, so that w + v = 1 - delta. Both are sums of non-negative
+    terms: neither 1 - delta nor the limit level loses digits to
+    cancellation, however large lam t_m or p_s lam t_s get.
+    """
+    pv = p_vertical(params)
+    x = params.p_s * params.lam * params.t_s
+    return pv, math.exp(-x) * (1.0 + params.p_s * pv), params.p_s * -math.expm1(-x)
+
+
 def p_vertical_hat(params: ScenarioParams, j: int) -> float:
     """No-catchable-relay probability at the j-th ride (j = 1 exact, j >= 2 approximation).
 
-    e^(-lam t_m) [1 - p_s (1 - e^(-p_s lam t_s)) (1 - delta^j) / (1 - delta)].
-    Reduces to e^(-lam t_m) exactly when p_s = 0 or t_s = 0. Monotone
-    non-increasing in j whenever delta >= 0 (not in general).
+    e^(-lam t_m) [1 - p_s (1 - e^(-p_s lam t_s)) (1 - delta^j) / (1 - delta)],
+    evaluated as p_vertical_hat_limit + c delta^j with
+    c = e^(-lam t_m) p_s (1 - e^(-p_s lam t_s)) / (1 - delta). Reduces to
+    e^(-lam t_m) exactly when p_s = 0 or t_s = 0. Monotone non-increasing
+    in j whenever delta >= 0 (not in general).
 
     Raises:
         ValueError: j < 1.
     """
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j!r}")
-    a = -math.expm1(-params.p_s * params.lam * params.t_s)
-    scale = 1.0 - params.p_s * a * _geom_sum(p_s_delta(params), j)
-    return p_vertical(params) * scale
+    pv, w, v = _level_weights(params)
+    return pv * (w / (w + v)) + pv * (v / (w + v)) * p_s_delta(params) ** j
 
 
 def p_vertical_hat_limit(params: ScenarioParams) -> float:
-    """Large-j limit of p_vertical_hat."""
-    a = -math.expm1(-params.p_s * params.lam * params.t_s)
-    return p_vertical(params) * (1.0 - params.p_s * a / (1.0 - p_s_delta(params)))
+    """Large-j limit of p_vertical_hat.
+
+    e^(-lam t_m) e^(-p_s lam t_s) (1 + p_s e^(-lam t_m)) / (1 - delta), the
+    paper's e^(-lam t_m) (1 - p_s (1 - e^(-p_s lam t_s)) / (1 - delta))
+    rearranged so that no digit cancels.
+    """
+    pv, w, v = _level_weights(params)
+    return pv * (w / (w + v))
 
 
-def _stopping_sum(params: ScenarioParams, tail_tol: float) -> tuple[float, int]:
-    r = 1.0 - min(p_vertical_hat(params, 1), p_vertical_hat_limit(params))
-    if r >= 1.0:
-        raise ArithmeticError(
-            f"survival ratio {r} >= 1; the expectation series cannot be truncated"
+def _terms_to_limit(params: ScenarioParams, pv: float, w: float, v: float,
+                    e: float, delta: float) -> int:
+    """Explicit factors after which every factor is 1 - p_inf to float precision.
+
+    Factor j of the series is (1 - p_inf) - c delta^j. Replacing every
+    factor past n by 1 - p_inf moves the sum by a relative
+    sum_{j>n} |c delta^j| / (1 - p_inf) at most, so this is the least n
+    that puts the bound below float precision. 1 - |delta| is w + v, or
+    (1 - p_s) + p_s_prime when delta < 0, both free of cancellation.
+    """
+    if v == 0.0 or delta == 0.0:
+        return 0
+    gap = w + v if delta > 0.0 else (1.0 - params.p_s) + p_s_prime(params)
+    rel = pv * v / (w * e + v)  # |c| / (1 - p_inf)
+    if rel * abs(delta) <= _EPS * gap:
+        return 0
+    need = (math.log(_EPS) + math.log(gap) - math.log(rel)) / math.log1p(-gap)
+    return max(0, math.ceil(need) - 1)
+
+
+def _terms_to_decay(low: float) -> float:
+    """Explicit terms after which the rest of the sum is below its float precision.
+
+    No factor exceeds r = 1 - low, low being the lowest level, so the terms
+    past m add at most term_m r / low, and term_m <= term_1 r^(m-1) while
+    the sum is at least term_1. That rest is below float precision of the
+    sum once r^m <= eps low.
+    """
+    if low <= 0.0:
+        return math.inf
+    if low >= 1.0:
+        return 1
+    return math.ceil((math.log(_EPS) + math.log(low)) / math.log1p(-low))
+
+
+def _stopping_sum(params: ScenarioParams) -> tuple[float, int]:
+    pv, w, v = _level_weights(params)
+    delta = p_s_delta(params)
+    e = -math.expm1(-params.lam * params.t_m)  # 1 - pv
+    if pv * w == 0.0:
+        raise OverflowError("stopping series exceeds the float range: "
+                            "its limit level underflows to 0")
+    # the lowest level: the limit when delta >= 0, else the first level
+    # pv (1 - p_s a), written as pv ((1 - p_s) + p_s q)
+    q = math.exp(-params.p_s * params.lam * params.t_s)
+    low = min(pv * (w / (w + v)), pv * ((1.0 - params.p_s) + params.p_s * q))
+    n = min(_terms_to_limit(params, pv, w, v, e, delta), _terms_to_decay(low))
+    if n > SERIES_TERM_GUARD:
+        raise SeriesGuardError(
+            f"stopping series needs about {n:.3g} explicit terms "
+            f"(delta = {delta!r}, lowest level = {low!r}); the guard is {SERIES_TERM_GUARD}"
         )
+    r = 1.0 - low
     total = 0.0
     term = 1.0
-    j = 0
-    while True:
-        j += 1
-        term *= 1.0 - p_vertical_hat(params, j)
+    power = 1.0
+    for k in range(1, n + 1):
+        power *= delta
+        term *= (w * e + v * (1.0 - pv * power)) / (w + v)  # 1 - p_vertical_hat(k)
         total += term
-        if term * r / (1.0 - r) < tail_tol:
-            return total, j
-        if j >= _SUM_TERM_CAP:
-            raise ArithmeticError(f"expectation series needs more than {j} terms")
+        if term * r <= _EPS * low * total:
+            return total, k  # the rest is below float precision of the sum
+    # every later factor is 1 - p_inf: a geometric tail, summed exactly
+    return total + term * ((w * e + v) / (pv * w)), n
 
 
-def expected_handoffs_sm_stopping_sum(
-    params: ScenarioParams, tail_tol: float = DEFAULT_TAIL_TOL
-) -> float:
-    """Mean handoff count with stopping relays, truncated series (approximation).
+def expected_handoffs_sm_stopping_sum(params: ScenarioParams) -> float:
+    """Mean handoff count with stopping relays, series route (approximation).
 
-    sum over m >= 0 of prod_{j=1}^{m+1} (1 - p_vertical_hat(j)), truncated
-    once the geometric tail bound term * r / (1 - r) drops below tail_tol,
-    r being one minus the smallest ride-survival floor.
+    sum over m >= 0 of prod_{j=1}^{m+1} (1 - p_vertical_hat(j)). The levels
+    approach their limit p_inf like delta^j, so the first n factors are
+    multiplied out explicitly, n being the least count past which every
+    factor equals 1 - p_inf to float precision, and the rest is the
+    geometric tail term_n (1 - p_inf) / p_inf, added exactly. The sum stops
+    sooner, with no tail, once its terms fall below float precision of the
+    total. The explicit count (the report's truncation_terms) does not grow
+    with lam.
 
     Raises:
-        ArithmeticError: defensively, if the tail ratio reaches 1 (no valid
-            scenario does this).
+        SeriesGuardError: more than SERIES_TERM_GUARD explicit terms would
+            be needed (1 - |delta| and the lowest level both below about
+            4e-4).
+        OverflowError: the sum exceeds the float range.
     """
-    return _stopping_sum(params, tail_tol)[0]
+    return _stopping_sum(params)[0]
 
 
 def expected_handoffs_sm_stopping_geo(params: ScenarioParams) -> float:
@@ -296,7 +405,7 @@ def expected_handoffs_sm_stopping_geo(params: ScenarioParams) -> float:
 
     (1 - p_vertical_hat(1)) / p_vertical_hat(2): first ride survives with
     its own probability, later rides are approximated by the j = 2 level.
-    Stays within a couple percent of the truncated series and reduces to
+    Stays within a couple percent of the series route and reduces to
     e^(lam t_m) - 1 exactly at p_s = 0.
     """
     return (1.0 - p_vertical_hat(params, 1)) / p_vertical_hat(params, 2)
@@ -346,12 +455,13 @@ def expected_t2_stopping(params: ScenarioParams) -> float:
     geometric shortcut. Exact at p_s = 0, where it collapses to the
     renewal identity (1 - P_V) / (lam P_V).
     """
-    rides = expected_service_sm_stopping(params, 1) + expected_service_sm_stopping(params, 2)
-    return (
-        params.t_m
-        + params.p_s * params.t_s
-        + expected_handoffs_sm_stopping_geo(params) * rides / 2.0
-    )
+    return _t2_stopping(params, expected_handoffs_sm_stopping_geo(params),
+                        expected_service_sm_stopping(params, 1),
+                        expected_service_sm_stopping(params, 2))
+
+
+def _t2_stopping(params: ScenarioParams, geo: float, ride1: float, ride2: float) -> float:
+    return params.t_m + params.p_s * params.t_s + geo * (ride1 + ride2) / 2.0
 
 
 def ratio_t2_sm_stopping(params: ScenarioParams) -> float:
@@ -362,9 +472,12 @@ def ratio_t2_sm_stopping(params: ScenarioParams) -> float:
     an approximation when stopping is active. Large t_h can push it
     negative; build_report carries the flag.
     """
-    a2 = expected_t2_stopping(params)
-    m = expected_handoffs_sm_stopping_geo(params)
-    return (a2 - params.t_h * m) / (1.0 / params.lam + a2)
+    return _ratio_t2_sm_stopping(params, expected_t2_stopping(params),
+                                 expected_handoffs_sm_stopping_geo(params))
+
+
+def _ratio_t2_sm_stopping(params: ScenarioParams, a2: float, geo: float) -> float:
+    return (a2 - params.t_h * geo) / (1.0 / params.lam + a2)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +500,10 @@ class AnalyticReport:
     ``t1_closed_deviation`` is |closed_form - quadrature| so the two routes
     can be audited without re-deriving either. ``r2_*_negative`` flag ratios
     that came out below zero (physically meaningless, numerically possible
-    for large t_h).
+    for large t_h). ``truncation_terms`` counts the factors of the stopping
+    series multiplied out before its exact geometric tail. ``failures``
+    pairs each field that could not be evaluated (NaN, or a non-finite
+    value) with the reason.
     """
 
     params: ScenarioParams
@@ -414,58 +530,102 @@ class AnalyticReport:
     a2_tilde: float = _emitted("closed_form")
     r2_sm_stop: float = _emitted("closed_form")
     r2_sm_stop_negative: bool
+    failures: tuple[tuple[str, str], ...] = ()
+
+
+def _attempt(compute):
+    # the value of compute(), or the numerical error it raised
+    try:
+        return compute()
+    except ArithmeticError as exc:
+        return exc
+
+
+def _value(result):
+    # unwrap an _attempt result, re-raising a stored error
+    if isinstance(result, ArithmeticError):
+        raise result
+    return result
 
 
 def build_report(
     params: ScenarioParams,
     quad_tol: float = DEFAULT_QUAD_TOL,
-    tail_tol: float = DEFAULT_TAIL_TOL,
     t1_method: str = "quadrature",
 ) -> AnalyticReport:
     """Evaluate the full closed-form battery for one scenario.
 
+    Each intermediate shared by several fields (the first-gap quadrature,
+    the stopping ride means, the geometric handoff count) is evaluated once.
+    A field whose formula fails numerically (raises ArithmeticError:
+    overflow, division by zero, a quadrature that cannot converge, a
+    stopping series past its guard) is NaN, and so is every field that
+    needs it. Each such field, and each field that came out infinite or NaN
+    without raising, is listed in ``failures`` with the reason. The other
+    fields are unaffected.
+
     Args:
         params: validated scenario.
         quad_tol: absolute tolerance for the first-gap quadrature.
-        tail_tol: truncation tolerance for the stopping expectation series.
         t1_method: which first-gap route lands in e_t1_sc
             ("quadrature", the ground truth, or "closed_form").
 
     Raises:
-        ValueError: on an unknown t1_method.
-        QuadratureError: propagated if the quadrature cannot converge.
+        ValueError: on an unknown t1_method or a quad_tol that is not positive.
     """
     if t1_method not in ("quadrature", "closed_form"):
         raise ValueError(f"t1_method must be 'quadrature' or 'closed_form', got {t1_method!r}")
-    t1_quad = expected_t1_sc(params, "quadrature", quad_tol)
-    t1_closed = expected_t1_sc(params, "closed_form")
-    e_t1 = t1_quad if t1_method == "quadrature" else t1_closed
-    r2_sc_val = ratio_t2_sc(params, quad_tol)
-    r2_stop_val = ratio_t2_sm_stopping(params)
-    stop_sum, terms = _stopping_sum(params, tail_tol)
+    if not quad_tol > 0.0:
+        raise ValueError(f"quad_tol must be positive, got {quad_tol!r}")
+    failures: dict[str, str] = {}
+
+    def cell(name, compute):
+        result = _attempt(compute)
+        if isinstance(result, ArithmeticError):
+            failures[name] = str(result) or type(result).__name__
+            return math.nan
+        if not math.isfinite(result):
+            failures[name] = f"not finite ({result!r})"
+        return result
+
+    t1_quad = _attempt(lambda: expected_t1_sc(params, "quadrature", quad_tol))
+    t1_closed = _attempt(lambda: expected_t1_sc(params, "closed_form"))
+    pair = _attempt(lambda: expected_tau1_sc(params) + _value(t1_quad))
+    stop = _attempt(lambda: _stopping_sum(params))
+    geo = _attempt(lambda: expected_handoffs_sm_stopping_geo(params))
+    ride1 = _attempt(lambda: expected_service_sm_stopping(params, 1))
+    ride2 = _attempt(lambda: expected_service_sm_stopping(params, 2))
+    a2 = _attempt(lambda: _t2_stopping(params, _value(geo), _value(ride1), _value(ride2)))
+    r2_sc = cell("r2_sc", lambda: _ratio_t2_sc(params, lambda: _value(pair)))
+    r2_stop = cell("r2_sm_stop",
+                   lambda: _ratio_t2_sm_stopping(params, _value(a2), _value(geo)))
     return AnalyticReport(
         params=params,
-        p_v=p_vertical(params),
-        e_tau1_sc=expected_tau1_sc(params),
-        e_t1_sc=e_t1,
+        p_v=cell("p_v", lambda: p_vertical(params)),
+        e_tau1_sc=cell("e_tau1_sc", lambda: expected_tau1_sc(params)),
+        e_t1_sc=cell("e_t1_sc", lambda: _value(
+            t1_quad if t1_method == "quadrature" else t1_closed)),
         t1_method=t1_method,
-        e_t1_sc_closed=t1_closed,
-        t1_closed_deviation=abs(t1_closed - t1_quad),
-        e_m_sm=expected_handoffs_sm(params),
-        e_m_sc=expected_handoffs_sc(params, quad_tol),
-        e_unserved_per_handoff=expected_unserved_per_round(params, 1, quad_tol),
-        r2_sc=r2_sc_val,
-        r2_sc_negative=r2_sc_val < 0.0,
-        p_s_prime=p_s_prime(params),
-        delta=p_s_delta(params),
-        p_v_hat_1=p_vertical_hat(params, 1),
-        p_v_hat_2=p_vertical_hat(params, 2),
-        e_m_sm_stop_sum=stop_sum,
-        e_m_sm_stop_geo=expected_handoffs_sm_stopping_geo(params),
-        truncation_terms=terms,
-        e_tau_sm_stop_1=expected_service_sm_stopping(params, 1),
-        e_tau_sm_stop_2=expected_service_sm_stopping(params, 2),
-        a2_tilde=expected_t2_stopping(params),
-        r2_sm_stop=r2_stop_val,
-        r2_sm_stop_negative=r2_stop_val < 0.0,
+        e_t1_sc_closed=cell("e_t1_sc_closed", lambda: _value(t1_closed)),
+        t1_closed_deviation=cell("t1_closed_deviation",
+                                 lambda: abs(_value(t1_closed) - _value(t1_quad))),
+        e_m_sm=cell("e_m_sm", lambda: expected_handoffs_sm(params)),
+        e_m_sc=cell("e_m_sc", lambda: _handoffs_sc(params, _value(pair))),
+        e_unserved_per_handoff=cell("e_unserved_per_handoff",
+                                    lambda: _unserved(params, 1, _value(pair))),
+        r2_sc=r2_sc,
+        r2_sc_negative=r2_sc < 0.0,
+        p_s_prime=cell("p_s_prime", lambda: p_s_prime(params)),
+        delta=cell("delta", lambda: p_s_delta(params)),
+        p_v_hat_1=cell("p_v_hat_1", lambda: p_vertical_hat(params, 1)),
+        p_v_hat_2=cell("p_v_hat_2", lambda: p_vertical_hat(params, 2)),
+        e_m_sm_stop_sum=cell("e_m_sm_stop_sum", lambda: _value(stop)[0]),
+        truncation_terms=cell("truncation_terms", lambda: _value(stop)[1]),
+        e_m_sm_stop_geo=cell("e_m_sm_stop_geo", lambda: _value(geo)),
+        e_tau_sm_stop_1=cell("e_tau_sm_stop_1", lambda: _value(ride1)),
+        e_tau_sm_stop_2=cell("e_tau_sm_stop_2", lambda: _value(ride2)),
+        a2_tilde=cell("a2_tilde", lambda: _value(a2)),
+        r2_sm_stop=r2_stop,
+        r2_sm_stop_negative=r2_stop < 0.0,
+        failures=tuple(failures.items()),
     )

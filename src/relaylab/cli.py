@@ -34,6 +34,12 @@ from .sim import simulate_many, trace_rounds
 _EPS_REL = 1e-12
 _GATE_CUSHION = 1e-12
 
+# Refusal bounds on the arrivals a simulation stocks, e^(lambda * horizon)
+# per round in expectation (horizon t_m, plus t_s when p_s > 0): per round
+# this is memory, per run (rounds times that) it is time.
+_MAX_ROUND_STOCK = 1e6
+_MAX_RUN_STOCK = 1e8
+
 _AXIS_FIELDS = ("lambda", "tm", "th", "ps", "ts")
 _SCALAR_KEYS = ("strategy", "rounds", "seed", "format", "out", "traces")
 
@@ -115,6 +121,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -148,9 +157,11 @@ def parse_run_spec(argv, config: dict | None = None) -> RunSpec:
     Raises:
         UsageError: unknown flags, malformed numbers or document, missing
             required parameters, empty grid axis, scenario validation
-            failures, array values outside the sweep command.
+            failures, array values outside the sweep command, simulations
+            whose expected arrival stock is past _MAX_ROUND_STOCK per round
+            or _MAX_RUN_STOCK per run.
     """
-    ns = _build_parser().parse_args(list(argv))
+    ns = _PARSER.parse_args(list(argv))
     doc: dict = dict(config) if config else {}
     if ns.config is not None:
         doc.update(_load_config(ns.config))
@@ -196,7 +207,8 @@ def parse_run_spec(argv, config: dict | None = None) -> RunSpec:
         grid = tuple((k, axes[k]) for k in _AXIS_FIELDS)
         # validate every grid point eagerly so errors surface at parse time
         for values in itertools.product(*(axes[k] for k in _AXIS_FIELDS)):
-            _validate_point(dict(zip(_AXIS_FIELDS, values)))
+            _check_cost(ns.command, _validate_point(dict(zip(_AXIS_FIELDS, values))),
+                        rounds)
         if (strategy is Strategy.SC_LATEST_AT_EXPIRY
                 and any(v > 0 for v in axes["ps"]) and any(v > 0 for v in axes["ts"])):
             raise UsageError(
@@ -212,6 +224,8 @@ def parse_run_spec(argv, config: dict | None = None) -> RunSpec:
             f"array-valued parameter(s) {multi} require the sweep command"
         )
     params = _validate_point({k: axes[k][0] for k in _AXIS_FIELDS})
+    if ns.command != "analytic":
+        _check_cost(ns.command, params, rounds + traces)
     if ns.command == "compare" and params.stopping and strategy is Strategy.SC_LATEST_AT_EXPIRY:
         raise UsageError(
             "compare: the latest-at-expiry policy has no closed forms with "
@@ -220,6 +234,19 @@ def parse_run_spec(argv, config: dict | None = None) -> RunSpec:
         )
     return RunSpec(ns.command, strategy, fmt, out, rounds, seed, traces,
                    params=params, grid=None)
+
+
+def _check_cost(command: str, params: ScenarioParams, rounds: int) -> None:
+    """Refuse a simulation whose expected arrival stock is past either bound."""
+    horizon = params.t_m + (params.t_s if params.p_s > 0.0 else 0.0)
+    stock = math.exp(min(params.lam * horizon, 700.0))
+    if stock > _MAX_ROUND_STOCK or rounds * stock > _MAX_RUN_STOCK:
+        raise UsageError(
+            f"{command}: lambda={params.lam!r} over a horizon of {horizon!r} stocks "
+            f"about {stock:.3g} arrivals per round, {rounds * stock:.3g} over "
+            f"{rounds} rounds; the limits are {_MAX_ROUND_STOCK:.0e} per round and "
+            f"{_MAX_RUN_STOCK:.0e} per run (lower lambda, tm, ts or rounds)"
+        )
 
 
 def _validate_point(point: dict) -> ScenarioParams:
@@ -269,8 +296,16 @@ _REPORT_ROWS = tuple(
 
 
 def run_analytic(spec: RunSpec) -> list[CompareRow]:
-    """Closed-form battery as rows (sim columns empty), in report field order."""
+    """Closed-form battery as rows (sim columns empty), in report field order.
+
+    A quantity the report could not evaluate gets an empty analytic cell and
+    one note on stderr naming it; every other row is unaffected.
+    """
     rep = analytic.build_report(spec.params)
+    failures = dict(rep.failures)
+    for name, _, _ in _REPORT_ROWS:
+        if name in failures:
+            print(f"relaylab: note: {name} left empty: {failures[name]}", file=sys.stderr)
     return [
         _row(spec.params, spec.strategy, None, None, name,
              float(getattr(rep, name)),
@@ -342,7 +377,7 @@ _QUANTITIES = {
         ("u_unserved", "closed_form",
          lambda p, got: analytic.expected_handoffs_sm(p) - got["m_handoffs"], _never, _always),
         ("t2_duration", "closed_form",
-         lambda p, got: (1.0 - got["p_vertical"]) / (p.lam * got["p_vertical"]),
+         lambda p, got: -math.expm1(-p.lam * p.t_m) / (p.lam * got["p_vertical"]),
          _always, _always),
         _T1_DURATION,
         ("r2", "closed_form", lambda p, got: analytic.ratio_t2_sc(p), _free_handoff, _always),

@@ -16,6 +16,7 @@ _SERIES_EPS = 1e-18
 _SERIES_MAX_TERMS = 400
 _SMALL_KERNEL_X = 1e-3
 _MAX_DEPTH = 48
+_MAX_EVALS = 50_000  # integrand evaluations one integrate call may spend
 
 
 class QuadratureError(ArithmeticError):
@@ -189,7 +190,9 @@ def integrate(f, a: float, b: float, tol: float = 1e-9) -> float:
     Subdivision always splits at the midpoint, left half first, so the
     evaluation order (and therefore the floating-point result) is a pure
     function of (f, a, b, tol). A halved tolerance moves the result by at
-    most tol.
+    most tol. A cell stops refining at depth 48, and every cell stops once
+    50,000 integrand evaluations are spent, so the cost is bounded even when
+    tol lies below the rounding noise of the integral.
 
     Args:
         f: integrand, callable on [a, b].
@@ -202,8 +205,9 @@ def integrate(f, a: float, b: float, tol: float = 1e-9) -> float:
 
     Raises:
         ValueError: on bad bounds or tolerance.
-        QuadratureError: when the depth bound is exceeded before the local
-            error contracts; carries the best estimate accumulated so far.
+        QuadratureError: when the depth bound or the evaluation budget is
+            exceeded before the local error contracts; carries the best
+            estimate accumulated so far.
     """
     a = float(a)
     b = float(b)
@@ -220,19 +224,21 @@ def integrate(f, a: float, b: float, tol: float = 1e-9) -> float:
     m = 0.5 * (a + b)
     fm = float(f(m))
     whole = _simpson(fa, fm, fb, b - a)
-    stuck: list[float] = []  # residual local errors where the depth bound hit
+    stuck: list[float] = []  # residual local errors where a bound hit
+    evals = [3]
 
     def recurse(lo, flo, hi, fhi, mid, fmid, approx, budget, depth):
         m1 = 0.5 * (lo + mid)
         m2 = 0.5 * (mid + hi)
         f1, f2 = float(f(m1)), float(f(m2))
+        evals[0] += 2
         left = _simpson(flo, f1, fmid, mid - lo)
         right = _simpson(fmid, f2, fhi, hi - mid)
         better = left + right
         err = better - approx
         if abs(err) <= 15.0 * budget:
             return better + err / 15.0
-        if depth >= _MAX_DEPTH:
+        if depth >= _MAX_DEPTH or evals[0] >= _MAX_EVALS:
             stuck.append(abs(err))
             return better + err / 15.0
         half = 0.5 * budget
@@ -243,7 +249,7 @@ def integrate(f, a: float, b: float, tol: float = 1e-9) -> float:
     if stuck:
         raise QuadratureError(
             f"integrate({a}, {b}) did not converge to tol={tol}: {len(stuck)} cell(s) "
-            f"hit the depth bound (worst residual {max(stuck):.3g})",
+            f"hit the depth or evaluation bound (worst residual {max(stuck):.3g})",
             best_estimate=total,
         )
     return total

@@ -103,7 +103,7 @@ def test_criterion_3_reduction_identities():
             max(abs(analytic.p_vertical_hat(zero_ps, j) - pv) for j in (1, 2, 5)),
             max(abs(analytic.p_vertical_hat(zero_ts, j) - pv) for j in (1, 2, 5)),
             abs(
-                analytic.expected_handoffs_sm_stopping_sum(zero_ps, tail_tol=1e-13)
+                analytic.expected_handoffs_sm_stopping_sum(zero_ps)
                 - (math.exp(lam * tm) - 1.0)
             ),
             abs(analytic.expected_t2_stopping(zero_ps) - (1.0 - pv) / (lam * pv)),

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -234,22 +235,18 @@ class TestStoppingChain:
         got = analytic.expected_handoffs_sm_stopping_sum(STOP)
         assert got == pytest.approx(2.25337226305882, abs=2e-10)
 
-    def test_truncation_error_tracks_tolerance(self):
-        target = 2.25337226305882
-        for tol in (1e-8, 1e-10, 1e-12):
-            got = analytic.expected_handoffs_sm_stopping_sum(STOP, tail_tol=tol)
-            assert abs(got - target) <= tol + 1e-13
-
     def test_series_matches_brute_force_partials(self):
-        # independent accumulation of prod_{j<=m+1}(1 - level_j)
-        total = 0.0
-        term = 1.0
-        for j in range(1, 4000):
-            term *= 1.0 - analytic.p_vertical_hat(STOP, j)
-            total += term
-        assert analytic.expected_handoffs_sm_stopping_sum(STOP, 1e-12) == pytest.approx(
-            total, abs=1e-11
-        )
+        # independent accumulation of prod_{j<=m+1}(1 - level_j): 4000
+        # factors put the tail below 1e-300, so the explicit factors plus
+        # the exact geometric tail must reproduce it to rounding
+        for p in (STOP, ScenarioParams(lam=2.0, t_m=1.0, p_s=0.5, t_s=1.0)):
+            partials = []
+            term = 1.0
+            for j in range(1, 4000):
+                term *= 1.0 - analytic.p_vertical_hat(p, j)
+                partials.append(term)
+            got = analytic.expected_handoffs_sm_stopping_sum(p)
+            assert got == pytest.approx(math.fsum(partials), rel=1e-14)
 
     def test_geometric_shortcut(self):
         assert analytic.expected_handoffs_sm_stopping_geo(STOP) == pytest.approx(
@@ -266,7 +263,7 @@ class TestStoppingChain:
         for j in range(1, 4000):
             term *= 1.0 - analytic.p_vertical_hat(p, j)
             total += term
-        assert analytic.expected_handoffs_sm_stopping_sum(p, 1e-12) == pytest.approx(
+        assert analytic.expected_handoffs_sm_stopping_sum(p) == pytest.approx(
             total, abs=1e-11
         )
 
@@ -323,7 +320,7 @@ class TestReductions:
             assert analytic.expected_handoffs_sm_stopping_geo(p) == pytest.approx(
                 analytic.expected_handoffs_sm(p), rel=1e-14
             )
-            assert analytic.expected_handoffs_sm_stopping_sum(p, 1e-13) == pytest.approx(
+            assert analytic.expected_handoffs_sm_stopping_sum(p) == pytest.approx(
                 analytic.expected_handoffs_sm(p), rel=1e-11
             )
             kernel = trunc_mean(p.lam * p.t_m, p.lam)
@@ -386,3 +383,137 @@ class TestReport:
             for l in (0.5, 1, 2, 4)
         ]
         assert ms == sorted(ms)
+
+
+def _mp_stopping(p: ScenarioParams, dps: int = 60):
+    """(series sum, limit level) at dps digits, from the paper's level form.
+
+    Levels pv (1 - p_s a G_j), G_j = sum_{k<j} delta^k, are multiplied out
+    until they sit within a relative 1e-30 of their limit
+    pv (1 - p_s a / (1 - delta)), far below double precision, and the
+    geometric tail of the remaining factors is then added as
+    term (1 - limit) / limit; or until the terms, none of whose factors
+    exceeds 1 - low, leave a rest below 1e-30 of the sum.
+    The naive forms lose up to ~p_s lam t_s / ln 10 digits to cancellation,
+    which the 60 working digits absorb for every case below.
+    """
+    with mpmath.workdps(dps):
+        lam, t_m, p_s, t_s = (mpmath.mpf(x) for x in (p.lam, p.t_m, p.p_s, p.t_s))
+        pv = mpmath.exp(-lam * t_m)
+        a = 1 - mpmath.exp(-p_s * lam * t_s)
+        delta = a + (1 - a) * (1 - pv) * p_s - p_s
+        limit = pv * (1 - p_s * a / (1 - delta))
+        total = mpmath.mpf(0)
+        term = mpmath.mpf(1)
+        geom = mpmath.mpf(0)
+        low = min(pv * (1 - p_s * a), limit)  # the lowest level
+        for _ in range(100_000):
+            geom = 1 + delta * geom
+            level = pv * (1 - p_s * a * geom)
+            term *= 1 - level
+            total += term
+            if term * (1 - low) <= mpmath.mpf(10) ** -30 * low * total:
+                return total, limit  # the rest is below 1e-30 of the sum
+            if abs(level - limit) <= mpmath.mpf(10) ** -30 * limit:
+                return total + term * (1 - limit) / limit, limit
+        raise AssertionError("oracle did not converge")
+
+
+CLOSURE_CASES = [
+    *(ScenarioParams(lam=x, t_m=1.0, p_s=0.3, t_s=2.0)
+      for x in (1e-6, 0.05, 1.0, 4.0, 8.0, 13.0, 40.0)),
+    ScenarioParams(lam=1.0, t_m=1.0, p_s=0.5, t_s=0.01),   # delta < 0
+    ScenarioParams(lam=3.0, t_m=0.5, p_s=0.5, t_s=0.01),   # delta < 0
+    ScenarioParams(lam=1.0, t_m=1.0, p_s=0.0, t_s=2.0),    # p_s = 0
+    ScenarioParams(lam=1.0, t_m=1.0, p_s=1.0, t_s=0.5),    # p_s = 1
+    ScenarioParams(lam=4.0, t_m=1.0, p_s=1.0, t_s=2.0),    # p_s = 1
+    ScenarioParams(lam=1.0, t_m=1.0, p_s=0.3, t_s=0.0),    # t_s = 0
+    ScenarioParams(lam=1.0, t_m=1.0, p_s=0.01, t_s=500.0), # delta near 1
+    ScenarioParams(lam=1.0, t_m=1.0, p_s=1e-4, t_s=1e5),   # delta nearer 1, terms decay
+    ScenarioParams(lam=1e-4, t_m=1.0, p_s=1.0, t_s=1.0),   # delta near -1, terms decay
+]
+
+
+class TestStoppingClosure:
+    """The closed stopping series against an independent 60-digit sum."""
+
+    @pytest.mark.parametrize("p", CLOSURE_CASES, ids=repr)
+    def test_series_matches_high_precision(self, p):
+        want, _ = _mp_stopping(p)
+        got = analytic.expected_handoffs_sm_stopping_sum(p)
+        assert abs(got - float(want)) <= 1e-12 * float(want)
+
+    @pytest.mark.parametrize("p", CLOSURE_CASES, ids=repr)
+    def test_limit_level_matches_high_precision(self, p):
+        _, want = _mp_stopping(p)
+        got = analytic.p_vertical_hat_limit(p)
+        assert abs(got - float(want)) <= 1e-14 * float(want)
+
+    def test_cost_does_not_grow_with_rate(self):
+        # bounded at large lam, and at small lam with p_s = 1, where delta
+        # tends to -1 but the terms vanish fast
+        cases = [ScenarioParams(lam=x, t_m=1.0, p_s=0.3, t_s=2.0)
+                 for x in (1.0, 8.0, 40.0, 200.0)]
+        cases += [ScenarioParams(lam=x, t_m=1.0, p_s=1.0, t_s=1.0) for x in (1e-3, 1e-6)]
+        cases.append(ScenarioParams(lam=2.0, t_m=1.0, p_s=0.5, t_s=1.0))
+        terms = [analytic.build_report(p).truncation_terms for p in cases]
+        assert max(terms) < 150
+        assert terms[0] > 0 and terms[-1] > 0
+
+    def test_guard_refuses_before_summing(self):
+        p = ScenarioParams(lam=1.0, t_m=1.0, p_s=1e-5, t_s=1e7)
+        with pytest.raises(analytic.SeriesGuardError):
+            analytic.expected_handoffs_sm_stopping_sum(p)
+        rep = analytic.build_report(p)
+        assert math.isnan(rep.e_m_sm_stop_sum) and math.isnan(rep.truncation_terms)
+        failed = dict(rep.failures)
+        assert set(failed) == {"e_m_sm_stop_sum", "truncation_terms"}
+        assert "guard" in failed["e_m_sm_stop_sum"]
+        assert math.isfinite(rep.e_m_sm_stop_geo)
+
+
+class TestSmallRate:
+    def test_ratio_keeps_every_digit(self):
+        got = analytic.ratio_t2_sc(ScenarioParams(lam=1e-9, t_m=1.0))
+        assert abs(got - 9.999999995e-10) <= 1e-15 * 9.999999995e-10
+
+    def test_handoff_count_keeps_every_digit(self):
+        got = analytic.expected_handoffs_sm(ScenarioParams(lam=1e-9, t_m=1.0))
+        assert abs(got - 1.0000000005e-9) <= 1e-15 * 1.0000000005e-9
+
+
+class TestReportIsolation:
+    def test_overflow_empties_only_the_quantities_that_need_it(self):
+        rep = analytic.build_report(ScenarioParams(lam=800.0, t_m=1.0))
+        failed = dict(rep.failures)
+        assert {"e_m_sm", "e_m_sc", "e_t1_sc_closed", "e_m_sm_stop_sum"} <= set(failed)
+        for name in failed:
+            assert not math.isfinite(getattr(rep, name))
+        assert rep.p_v == 0.0 and rep.e_tau1_sc == pytest.approx(1.0 - 1.0 / 800.0)
+        assert "p_v" not in failed and "e_t1_sc" not in failed
+
+    def test_dilog_route_names_its_underflow(self):
+        rep = analytic.build_report(ScenarioParams(lam=1e-300, t_m=1e-300))
+        failed = dict(rep.failures)
+        assert "rounds to 0" in failed["e_t1_sc_closed"]
+        assert "t1_closed_deviation" in failed
+        assert rep.p_v == 1.0 and "p_v" not in failed
+
+    def test_bad_argument_is_not_isolated(self):
+        # only numerical failures become empty cells; a bad call raises
+        with pytest.raises(ValueError, match="quad_tol"):
+            analytic.build_report(STOP, quad_tol=0.0)
+
+    def test_shared_values_match_the_public_functions(self):
+        # the report evaluates each shared intermediate once; the values
+        # must be bit-identical to the public functions that recompute it
+        for p in (STOP, ScenarioParams(lam=0.5, t_m=2.0, t_h=0.1, p_s=0.5, t_s=1.0)):
+            rep = analytic.build_report(p)
+            assert rep.failures == ()
+            assert rep.e_m_sc == analytic.expected_handoffs_sc(p)
+            assert rep.e_unserved_per_handoff == analytic.expected_unserved_per_round(p, 1)
+            assert rep.r2_sc == analytic.ratio_t2_sc(p)
+            assert rep.e_m_sm_stop_geo == analytic.expected_handoffs_sm_stopping_geo(p)
+            assert rep.a2_tilde == analytic.expected_t2_stopping(p)
+            assert rep.r2_sm_stop == analytic.ratio_t2_sm_stopping(p)
+            assert rep.e_m_sm_stop_sum == analytic.expected_handoffs_sm_stopping_sum(p)

@@ -167,6 +167,41 @@ class TestParsing:
         assert parse_run_spec(sim_argv).command == "simulate"
 
 
+class TestCostBound:
+    """Simulations whose expected arrival stock is too large are refused at
+    parse time; nothing here simulates."""
+
+    @pytest.mark.parametrize("argv", [
+        # e^(3 * (1 + 5)) ~ 6.6e7 arrivals in a single round
+        ["simulate", "--lambda", "3", "--tm", "1", "--ps", "0.5", "--ts", "5"],
+        ["compare", "--lambda", "3", "--tm", "1", "--ps", "0.5", "--ts", "5",
+         "--rounds", "1"],
+        # e^8 ~ 3e3 per round is fine, 1e5 rounds of it is not
+        ["compare", "--lambda", "4", "--tm", "2", "--rounds", "100000"],
+    ])
+    def test_refused(self, argv, capsys):
+        with pytest.raises(UsageError, match="arrivals per round"):
+            parse_run_spec(argv)
+        assert main(argv) == 1
+        assert "arrivals per round" in capsys.readouterr().err
+
+    def test_sweep_refuses_on_any_grid_point(self):
+        with pytest.raises(UsageError, match="arrivals per round"):
+            parse_run_spec(["sweep", "--rounds", "1000"],
+                           config={"lambda": [1.0, 20.0], "tm": 1.0})
+
+    def test_stock_bound_counts_the_dwell_only_with_stopping_relays(self):
+        # t_s alone does not lengthen the horizon when p_s = 0
+        parse_run_spec(["simulate", "--lambda", "3", "--tm", "1", "--ts", "5",
+                        "--rounds", "1000"])
+        parse_run_spec(["simulate", "--lambda", "1", "--tm", "1", "--ps", "0.3",
+                        "--ts", "4", "--rounds", "20000"])
+
+    def test_analytic_is_never_refused(self):
+        parse_run_spec(["analytic", "--lambda", "3", "--tm", "1", "--ps", "0.5",
+                        "--ts", "5"])
+
+
 class TestEmission:
     def test_csv_layout_and_rendering(self, capsys):
         emit([make_row(analytic=0.6321205588, sim_mean=None, sim_ci95=None,
@@ -212,6 +247,28 @@ class TestAnalyticCommand:
         assert by_name["t1_closed_deviation"].analytic < 1e-9
         assert by_name["e_m_sm_stop_sum"].method == "series_sum"
         assert all(r.sim_mean is None and r.rel_err is None for r in rows)
+
+    def test_overflowing_quantities_are_empty_and_noted(self, capsys):
+        assert main(["analytic", "--lambda", "800", "--tm", "1", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        rows = {r["quantity"]: r["analytic"] for r in json.loads(captured.out)}
+        assert rows["p_v"] == 0.0
+        assert rows["e_tau1_sc"] == pytest.approx(1.0 - 1.0 / 800.0)
+        empty = [q for q, v in rows.items() if v is None]
+        assert {"e_m_sm", "e_m_sc", "e_t1_sc_closed", "e_m_sm_stop_sum"} <= set(empty)
+        notes = captured.err.splitlines()
+        assert len(notes) == len(empty)
+        for q, note in zip(empty, notes):
+            assert note.startswith(f"relaylab: note: {q} left empty: ")
+
+    def test_stopping_series_answers_where_it_once_hit_a_cap(self, capsys):
+        assert main(["analytic", "--lambda", "13", "--tm", "1", "--ps", "0.3",
+                     "--ts", "2", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        rows = {r["quantity"]: r["analytic"] for r in json.loads(captured.out)}
+        assert rows["e_m_sm_stop_sum"] == pytest.approx(3.2423426326336e8, rel=1e-12)
+        assert rows["truncation_terms"] < 200
+        assert captured.err == ""
 
 
 class TestCompareCommand:
@@ -347,6 +404,14 @@ class TestMain:
     def test_usage_exit(self, capsys):
         assert main(["compare", "--tm", "1"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        def rebuilt():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "_build_parser", rebuilt)
+        assert main(["analytic", "--lambda", "1", "--tm", "1"]) == 0
+        assert main(["analytic", "--lambda", "2", "--tm", "1"]) == 0
 
     @pytest.mark.parametrize("strategy, closed_form", [
         ("sm", "p_vertical_hat"),
