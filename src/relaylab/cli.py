@@ -24,10 +24,10 @@ import math
 import operator
 import sys
 from csv import writer as csv_writer
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .model import ScenarioParams, SimConfig, Strategy
-from .numerics import trunc_mean
+from .numerics import MeanCI, trunc_mean
 from . import analytic
 from .sim import simulate_many, trace_rounds
 
@@ -117,7 +117,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=None)
         if name == "simulate":
             p.add_argument("--traces", type=int, default=None,
-                           help="dump full traces for this many extra rounds")
+                           help="dump full traces of the first N simulated rounds")
     return parser
 
 
@@ -315,17 +315,13 @@ def run_analytic(spec: RunSpec) -> list[CompareRow]:
     ]
 
 
-# Simulated statistics in output order; each is a SimSummary field except r2.
-_STATS = ("p_vertical", "first_service_offset", "first_gap_offset",
-          "m_handoffs", "u_unserved", "t2_duration", "t1_duration", "r2")
-
-
-def _sim_estimate(summary, stat: str) -> tuple[float, float]:
-    """(mean, 95% half-width) of one simulated statistic."""
-    if stat == "r2":
-        return summary.r2_estimate, 1.96 * summary.r2_std_error
-    mc = getattr(summary, stat)
-    return mc.mean, mc.ci95_half_width
+def _sim_estimates(summary) -> dict[str, tuple[float, float]]:
+    """(mean, 95% half-width) of every simulated statistic, in output order:
+    each MeanCI field of the summary, then the served-time ratio r2."""
+    estimates = {name: (v.mean, v.ci95_half_width)
+                 for name, v in vars(summary).items() if isinstance(v, MeanCI)}
+    estimates["r2"] = (summary.r2_estimate, 1.96 * summary.r2_std_error)
+    return estimates
 
 
 def _always(p):
@@ -415,6 +411,7 @@ def _point_rows(params: ScenarioParams, strategy: Strategy, rounds: int,
     """Rows for one simulated point: every table entry that applies, or
     with compare=False every simulated statistic, analytic columns empty."""
     summary = simulate_many(params, strategy, SimConfig(rounds=rounds, seed=seed))
+    estimates = _sim_estimates(summary)
     rows = []
     if compare:
         got: dict[str, float] = {}
@@ -423,12 +420,12 @@ def _point_rows(params: ScenarioParams, strategy: Strategy, rounds: int,
                 value = formula(params, got)
                 got.setdefault(stat, value)
                 rows.append(_row(params, strategy, rounds, seed, stat, value, method,
-                                 *_sim_estimate(summary, stat),
+                                 *estimates[stat],
                                  "hard" if hard(params) else "soft"))
     else:
-        for stat in _STATS:
+        for stat, estimate in estimates.items():
             rows.append(_row(params, strategy, rounds, seed, stat, None, "",
-                             *_sim_estimate(summary, stat), ""))
+                             *estimate, ""))
     if summary.experimental:
         rows.append(_row(params, strategy, rounds, seed, "experimental_flag",
                          None, "", 1.0, 0.0, ""))
@@ -531,10 +528,7 @@ def _emit_stream(rows, fmt, stream) -> None:
 
 
 def _emit_trace_dump(params, strategy, seed, count, stream) -> None:
-    outcomes = trace_rounds(
-        params, strategy,
-        SimConfig(rounds=count, seed=seed, collect_traces=True),
-    )
+    outcomes = trace_rounds(params, strategy, SimConfig(rounds=count, seed=seed))
     for i, o in enumerate(outcomes):
         record = {
             "round": i,
@@ -543,17 +537,7 @@ def _emit_trace_dump(params, strategy, seed, count, stream) -> None:
             "t2_duration": o.t2_duration,
             "t1_duration": o.t1_duration,
             "service_durations": list(o.service_durations),
-            "steps": [
-                {
-                    "k": s.k,
-                    "window_length": s.window_length,
-                    "arrival_count": s.arrival_count,
-                    "max_offset": s.max_offset,
-                    "boarded_arrival_time": s.boarded_arrival_time,
-                    "stop_flag": s.stop_flag,
-                }
-                for s in (o.trace or ())
-            ],
+            "steps": [asdict(s) for s in o.trace],
         }
         stream.write(json.dumps(record) + "\n")
 

@@ -22,8 +22,10 @@ class Strategy(enum.Enum):
 
     SM_SERVE_ALL: hand off to every catchable relay the moment it arrives.
     SC_LATEST_AT_EXPIRY: ride the current relay until its coverage expires,
-        then join the most recently arrived relay still in range (the one
-        with the most remaining coverage).
+        then join the most recently arrived relay still in range. Without
+        stopping relays every relay covers t_m, so that is also the one with
+        the most remaining coverage; with them an earlier stopping relay may
+        cover longer, and the policy still joins the latest arrival.
     """
 
     SM_SERVE_ALL = "sm"
@@ -69,14 +71,12 @@ class SimConfig:
     Attributes:
         rounds: number of independent coverage rounds, >= 1.
         seed: 64-bit master seed; every substream derives from it.
-        collect_traces: record per-decision traces in each round outcome.
         worker_hint: process count the runner may use. Results are
             bit-identical for a fixed seed whatever the value.
     """
 
     rounds: int
     seed: int
-    collect_traces: bool = False
     worker_hint: int = 1
 
     def __post_init__(self) -> None:

@@ -153,7 +153,8 @@ def trunc_mean(x: float, lam: float) -> float:
         return 0.0
     if x < _SMALL_KERNEL_X:
         # Series around 0: (1 - e^-x (1+x)) / (1 - e^-x) = x/2 - x^2/12 + O(x^4);
-        # the direct form loses ~2*eps/x digits to cancellation here.
+        # the direct form's numerator, about x^2/2, cancels, so its relative
+        # error grows like eps/(x^2/2) here.
         return x * (0.5 - x / 12.0) / lam
     emx = math.exp(-x)
     return (1.0 - emx * (1.0 + x)) / (lam * -math.expm1(-x))

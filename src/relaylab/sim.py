@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -97,31 +97,52 @@ class RoundOutcome:
     trace: tuple[TraceStep, ...] | None = None
 
 
+# One round as the block engine keeps it: the idle gap, then the walk's
+# result. A round without a first or second boarding holds NaN there.
+_ROW = np.dtype([(name, float) for name in ("t1", "m", "u", "t2", "first", "second")])
+
+
+def _mean_of(value, defined=None):
+    """Declare a SimSummary field as the mean of one per-round value.
+
+    ``value`` maps a block's rows (an array of dtype _ROW) to one number per
+    round. ``defined``, when given, picks the rounds where that number
+    exists; the field's MeanCI.n then counts only those.
+    """
+    return field(metadata={"value": value, "defined": defined})
+
+
 @dataclass(frozen=True)
 class SimSummary:
     """Aggregated estimates over many rounds, with seed provenance.
 
-    ``first_service_offset`` and ``first_gap_offset`` are conditional means
-    (their MeanCI.n counts only the rounds where they are defined).
-    ``r2_std_error`` is the delta-method standard error of the
-    ratio-of-totals estimate. ``experimental`` marks the latest-at-expiry
-    policy run against stopping relays, a combination with no closed forms.
+    The MeanCI fields declare the simulated statistics, in output order:
+    the block engine reduces, merges and reports exactly these, each the
+    mean of the per-round value its declaration names. ``r2_estimate`` is
+    the served-time ratio of totals and ``r2_std_error`` its delta-method
+    standard error. ``experimental`` marks the latest-at-expiry policy run
+    against stopping relays, a combination with no closed forms.
     """
 
     params: ScenarioParams
     strategy: Strategy
     rounds: int
     seed: int
-    m_handoffs: MeanCI
-    u_unserved: MeanCI
-    t2_duration: MeanCI
-    t1_duration: MeanCI
-    first_service_offset: MeanCI
-    first_gap_offset: MeanCI
-    p_vertical: MeanCI
+    # no relay boarded: the round fell back to fixed infrastructure at once
+    p_vertical: MeanCI = _mean_of(lambda r: r["m"] == 0)
+    # offsets of the first and second boardings within their decision windows
+    first_service_offset: MeanCI = _mean_of(lambda r: r["first"], lambda r: r["m"] >= 1)
+    first_gap_offset: MeanCI = _mean_of(lambda r: r["second"], lambda r: r["m"] >= 2)
+    m_handoffs: MeanCI = _mean_of(lambda r: r["m"])
+    u_unserved: MeanCI = _mean_of(lambda r: r["u"])
+    t2_duration: MeanCI = _mean_of(lambda r: r["t2"])
+    t1_duration: MeanCI = _mean_of(lambda r: r["t1"])
     r2_estimate: float
     r2_std_error: float
     experimental: bool
+
+
+_MEANS = tuple(f for f in fields(SimSummary) if "value" in f.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +394,46 @@ def _draw_round(stream: _Stream, p_s: float, horizon: float):
         times.append(t)
 
 
+def _block_sizes(rounds: int) -> list[int]:
+    """Round counts of the fixed-size blocks that make up `rounds` rounds."""
+    return [min(_BLOCK_ROUNDS, rounds - start) for start in range(0, rounds, _BLOCK_ROUNDS)]
+
+
+def _block_draws(params: ScenarioParams, seed: int, block: int, rounds: int):
+    """Yield the first `rounds` rounds of block `block`'s substream, in order."""
+    stream = _Stream(_block_rng(seed, block), params.lam)
+    horizon = params.t_m + (params.t_s if params.p_s > 0.0 else 0.0)
+    for _ in range(rounds):
+        yield _draw_round(stream, params.p_s, horizon)
+
+
 # ---------------------------------------------------------------------------
 # round-level API
 # ---------------------------------------------------------------------------
+
+def _outcome(walk, t1, services, trace) -> RoundOutcome:
+    """Package one round's results; `walk` is (m, u, t2, first, second)."""
+    m, u, t2, first, second = walk
+    return RoundOutcome(
+        m_handoffs=m,
+        u_unserved=u,
+        t2_duration=t2,
+        t1_duration=t1,
+        service_durations=tuple(services),
+        first_service_offset=first,
+        first_gap_offset=second,
+        trace=None if trace is None else tuple(trace),
+    )
+
+
+def _walked_round(params, strategy, draw, collect_trace: bool) -> RoundOutcome:
+    """Walk one round, given as (t1, c0 flag, times, marks), under `strategy`."""
+    t1, c0, times, marks = draw
+    services: list[float] = []
+    trace: list[TraceStep] | None = [] if collect_trace else None
+    walk = _run_walk(params, strategy, times, marks, c0, services, trace)
+    return _outcome(walk, t1, services, trace)
+
 
 def _normalize_arrivals(arrivals_source, params):
     """Injected arrival list -> (times, marks or None); validates ordering."""
@@ -434,26 +492,11 @@ def simulate_round(
     if isinstance(arrivals_source, np.random.Generator):
         stream = _DirectStream(arrivals_source, params.lam)
         horizon = params.t_m + (params.t_s if params.p_s > 0.0 else 0.0)
-        t1_duration, c0_stopping, times, marks = _draw_round(
-            stream, params.p_s, horizon
-        )
+        draw = _draw_round(stream, params.p_s, horizon)
     else:
         times, marks = _normalize_arrivals(arrivals_source, params)
-    services: list[float] = []
-    trace: list[TraceStep] | None = [] if collect_trace else None
-    m, u, t2, first, second = _run_walk(
-        params, strategy, times, marks, c0_stopping, services, trace
-    )
-    return RoundOutcome(
-        m_handoffs=m,
-        u_unserved=u,
-        t2_duration=t2,
-        t1_duration=t1_duration,
-        service_durations=tuple(services),
-        first_service_offset=first,
-        first_gap_offset=second,
-        trace=None if trace is None else tuple(trace),
-    )
+        draw = (t1_duration, c0_stopping, times, marks)
+    return _walked_round(params, strategy, draw, collect_trace)
 
 
 def window_recursion_round(
@@ -497,16 +540,7 @@ def window_recursion_round(
             trace.append(TraceStep(m, w, k, x, boarded_at + x, None))
         boarded_at += w
         w = t_m - w + x
-    return RoundOutcome(
-        m_handoffs=m,
-        u_unserved=u,
-        t2_duration=t2,
-        t1_duration=t1,
-        service_durations=tuple(services),
-        first_service_offset=first,
-        first_gap_offset=second,
-        trace=None if trace is None else tuple(trace),
-    )
+    return _outcome((m, u, t2, first, second), t1, services, trace)
 
 
 def coupled_round(
@@ -523,78 +557,44 @@ def coupled_round(
     """
     if params.stopping:
         raise ValueError("coupled rounds are defined for non-stopping scenarios only")
-    stream = _DirectStream(rng, params.lam)
-    t1, _, times, _ = _draw_round(stream, 0.0, params.t_m)
-    out = []
-    for strat in (Strategy.SM_SERVE_ALL, Strategy.SC_LATEST_AT_EXPIRY):
-        services: list[float] = []
-        m, u, t2, first, second = _run_walk(
-            params, strat, times, None, False, services, None
-        )
-        out.append(
-            RoundOutcome(
-                m_handoffs=m,
-                u_unserved=u,
-                t2_duration=t2,
-                t1_duration=t1,
-                service_durations=tuple(services),
-                first_service_offset=first,
-                first_gap_offset=second,
-            )
-        )
-    return out[0], out[1]
+    draw = _draw_round(_DirectStream(rng, params.lam), 0.0, params.t_m)
+    return (_walked_round(params, Strategy.SM_SERVE_ALL, draw, False),
+            _walked_round(params, Strategy.SC_LATEST_AT_EXPIRY, draw, False))
 
 
 # ---------------------------------------------------------------------------
 # block engine
 # ---------------------------------------------------------------------------
 
-# accumulator layout (merged elementwise, in block order):
-#  0 n, 1 sum m, 2 sum m^2, 3 sum u, 4 sum u^2, 5 sum t2, 6 sum t2^2,
-#  7 sum t1, 8 sum t1^2, 9 count m==0, 10-12 first offset (n, sum, sumsq),
-#  13-15 second offset (n, sum, sumsq), 16-20 ratio pieces
-#  (sum x, sum x^2, sum y, sum y^2, sum xy) with x = t2 - t_h*m, y = t1 + t2
-_ACC_LEN = 21
+def _total(v: np.ndarray) -> float:
+    # a running sum in round order, as a scalar loop adds; np.sum adds
+    # pairwise, which would move the last bits
+    return np.add.accumulate(v)[-1] if len(v) else 0.0
 
 
 def _run_block(params, strategy, seed, block, rounds):
-    stream = _Stream(_block_rng(seed, block), params.lam)
-    p_s = params.p_s
-    t_h = params.t_h
-    horizon = params.t_m + (params.t_s if p_s > 0.0 else 0.0)
-    acc = [0.0] * _ACC_LEN
-    acc[0] = rounds
-    for _ in range(rounds):
-        t1, c0, times, marks = _draw_round(stream, p_s, horizon)
-        m, u, t2, first, second = _run_walk(
-            params, strategy, times, marks, c0, None, None
-        )
-        acc[1] += m
-        acc[2] += m * m
-        acc[3] += u
-        acc[4] += u * u
-        acc[5] += t2
-        acc[6] += t2 * t2
-        acc[7] += t1
-        acc[8] += t1 * t1
-        if m == 0:
-            acc[9] += 1
-        if first is not None:
-            acc[10] += 1
-            acc[11] += first
-            acc[12] += first * first
-        if second is not None:
-            acc[13] += 1
-            acc[14] += second
-            acc[15] += second * second
-        x = t2 - t_h * m
-        y = t1 + t2
-        acc[16] += x
-        acc[17] += x * x
-        acc[18] += y
-        acc[19] += y * y
-        acc[20] += x * y
-    return acc
+    """One block's sums, keyed by statistic; blocks merge them in block order.
+
+    Each declared mean of SimSummary gets (n, sum, sum of squares) of its
+    per-round value over the rounds where that value is defined; "r2" gets
+    the ratio pieces (sum x, sum x^2, sum y, sum y^2, sum xy), with
+    x = t2 - t_h*m and y = t1 + t2.
+    """
+    rows = np.fromiter(  # None becomes NaN
+        ((t1, *_run_walk(params, strategy, times, marks, c0, None, None))
+         for t1, c0, times, marks in _block_draws(params, seed, block, rounds)),
+        dtype=_ROW, count=rounds,
+    )
+    sums = {}
+    for f in _MEANS:
+        v = np.asarray(f.metadata["value"](rows), dtype=float)
+        if f.metadata["defined"] is not None:
+            v = v[f.metadata["defined"](rows)]
+        sums[f.name] = np.array([len(v), _total(v), _total(v * v)])
+    x = rows["t2"] - params.t_h * rows["m"]
+    y = rows["t1"] + rows["t2"]
+    sums["r2"] = np.array([_total(x), _total(x * x), _total(y), _total(y * y), _total(x * y)])
+    return sums
 
 
 def _block_job(args):
@@ -613,6 +613,20 @@ def _moments_meanci(n: float, total: float, total_sq: float) -> MeanCI:
     return MeanCI(mean, se, 1.96 * se, n)
 
 
+def _ratio_of_totals(n, sum_x, sum_xx, sum_y, sum_yy, sum_xy) -> tuple[float, float]:
+    """Ratio of totals sum x / sum y over n rounds, and its delta-method SE."""
+    ratio = sum_x / sum_y
+    if n < 2:
+        return ratio, math.nan
+    mean_x = sum_x / n
+    mean_y = sum_y / n
+    sxx = max(sum_xx - n * mean_x * mean_x, 0.0)
+    syy = max(sum_yy - n * mean_y * mean_y, 0.0)
+    sxy = sum_xy - n * mean_x * mean_y
+    var_r = max(sxx - 2.0 * ratio * sxy + ratio * ratio * syy, 0.0) / (n - 1)
+    return ratio, math.sqrt(var_r / n) / mean_y
+
+
 def simulate_many(
     params: ScenarioParams, strategy: Strategy, config: SimConfig
 ) -> SimSummary:
@@ -623,47 +637,24 @@ def simulate_many(
     order, so the summary is bit-identical for a given seed whether
     worker_hint is 1 or 100.
     """
-    n_blocks = -(-config.rounds // _BLOCK_ROUNDS)
-    sizes = [
-        min(_BLOCK_ROUNDS, config.rounds - b * _BLOCK_ROUNDS) for b in range(n_blocks)
-    ]
-    jobs = [(params, strategy, config.seed, b, sizes[b]) for b in range(n_blocks)]
-    if config.worker_hint > 1 and n_blocks > 1:
-        workers = min(config.worker_hint, n_blocks)
-        chunk = max(1, n_blocks // (workers * 8))
+    jobs = [(params, strategy, config.seed, b, size)
+            for b, size in enumerate(_block_sizes(config.rounds))]
+    if config.worker_hint > 1 and len(jobs) > 1:
+        workers = min(config.worker_hint, len(jobs))
+        chunk = max(1, len(jobs) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             accs = list(pool.map(_block_job, jobs, chunksize=chunk))
     else:
         accs = [_run_block(*job) for job in jobs]
-    total = [0.0] * _ACC_LEN
-    for acc in accs:
-        for i in range(_ACC_LEN):
-            total[i] += acc[i]
+    totals = {name: sum(acc[name] for acc in accs).tolist() for name in accs[0]}
     n = config.rounds
-    sum_x, sum_xx, sum_y, sum_yy, sum_xy = total[16:21]
-    r2 = sum_x / sum_y
-    if n >= 2:
-        mean_x = sum_x / n
-        mean_y = sum_y / n
-        sxx = max(sum_xx - n * mean_x * mean_x, 0.0)
-        syy = max(sum_yy - n * mean_y * mean_y, 0.0)
-        sxy = sum_xy - n * mean_x * mean_y
-        var_r = max(sxx - 2.0 * r2 * sxy + r2 * r2 * syy, 0.0) / (n - 1)
-        r2_se = math.sqrt(var_r / n) / mean_y
-    else:
-        r2_se = math.nan
+    r2, r2_se = _ratio_of_totals(n, *totals["r2"])
     return SimSummary(
         params=params,
         strategy=strategy,
         rounds=n,
         seed=config.seed,
-        m_handoffs=_moments_meanci(n, total[1], total[2]),
-        u_unserved=_moments_meanci(n, total[3], total[4]),
-        t2_duration=_moments_meanci(n, total[5], total[6]),
-        t1_duration=_moments_meanci(n, total[7], total[8]),
-        first_service_offset=_moments_meanci(total[10], total[11], total[12]),
-        first_gap_offset=_moments_meanci(total[13], total[14], total[15]),
-        p_vertical=_moments_meanci(n, total[9], total[9]),
+        **{f.name: _moments_meanci(*totals[f.name]) for f in _MEANS},
         r2_estimate=r2,
         r2_std_error=r2_se,
         experimental=strategy is Strategy.SC_LATEST_AT_EXPIRY and params.stopping,
@@ -673,17 +664,16 @@ def simulate_many(
 def trace_rounds(
     params: ScenarioParams, strategy: Strategy, config: SimConfig
 ) -> list[RoundOutcome]:
-    """Run config.rounds sequential rounds keeping full per-round outcomes.
+    """Replay the first config.rounds rounds of simulate_many, with traces.
 
-    Meant for small trace dumps (the batch harness's --traces path), not for
-    estimation; uses the block-0 substream of config.seed.
+    Round i is round i of simulate_many at config.seed: both draw block b
+    from the substream keyed (config.seed, b). Meant for small trace dumps
+    (the batch harness's --traces path), not for estimation.
     """
-    rng = _block_rng(config.seed, 0)
     return [
-        simulate_round(
-            params, strategy, rng, collect_trace=config.collect_traces
-        )
-        for _ in range(config.rounds)
+        _walked_round(params, strategy, draw, True)
+        for b, size in enumerate(_block_sizes(config.rounds))
+        for draw in _block_draws(params, config.seed, b, size)
     ]
 
 

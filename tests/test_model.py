@@ -64,7 +64,6 @@ class TestScenarioParams:
 class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig(rounds=10, seed=1)
-        assert cfg.collect_traces is False
         assert cfg.worker_hint == 1
 
     @pytest.mark.parametrize(

@@ -308,11 +308,81 @@ class TestDeterminism:
         assert a.m_handoffs.mean != b.m_handoffs.mean
 
     def test_trace_rounds_reproduces(self):
-        cfg = SimConfig(rounds=50, seed=88, collect_traces=True)
+        cfg = SimConfig(rounds=50, seed=88)
         a = trace_rounds(P11, SC, cfg)
         b = trace_rounds(P11, SC, cfg)
         assert a == b
         assert a[0].trace is not None
+
+
+class TestTraceReplay:
+    """trace_rounds replays simulate_many's rounds, across block boundaries."""
+
+    ROUNDS = 5_000  # two blocks
+    BLOCK = 4096  # simulate_many's block size
+
+    def _block_order_mean(self, values):
+        # sum each block in round order, then merge the block sums in block
+        # order, as simulate_many does
+        total = 0.0
+        for start in range(0, len(values), self.BLOCK):
+            block = 0.0
+            for v in values[start:start + self.BLOCK]:
+                block += v
+            total += block
+        return total / len(values)
+
+    @pytest.mark.parametrize("strategy", [SM, SC])
+    @pytest.mark.parametrize(
+        "params",
+        [STOP, ScenarioParams(lam=1.0, t_m=1.0, p_s=0.3, t_s=0.0),
+         ScenarioParams(lam=2.0, t_m=1.0, t_h=0.05)],
+        ids=["ps-ts2", "ps-ts0", "plain"],
+    )
+    def test_traced_rounds_are_the_estimated_rounds(self, params, strategy):
+        cfg = SimConfig(rounds=self.ROUNDS, seed=31)
+        s = simulate_many(params, strategy, cfg)
+        traced = trace_rounds(params, strategy, cfg)
+        n = len(traced)
+        assert n == self.ROUNDS
+        assert sum(o.m_handoffs for o in traced) / n == s.m_handoffs.mean
+        assert sum(o.m_handoffs == 0 for o in traced) / n == s.p_vertical.mean
+        assert self._block_order_mean([o.t2_duration for o in traced]) == s.t2_duration.mean
+        assert all(o.trace is not None for o in traced)
+
+
+class TestScaleInvariance:
+    """Scaling rate by c and every time by 1/c rescales the estimates exactly.
+
+    For c a power of two every drawn gap, comparison and sum scales without
+    rounding, so counts and the ratio r2 are bit-identical and every time
+    mean and standard error is the c = 1 value divided by c.
+    """
+
+    COUNTS = ("p_vertical", "m_handoffs", "u_unserved")
+    TIMES = ("first_service_offset", "first_gap_offset", "t2_duration", "t1_duration")
+
+    @pytest.mark.parametrize("strategy", [SM, SC])
+    @pytest.mark.parametrize(
+        "lam, t_m, t_h, p_s, t_s",
+        [(1.0, 1.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.3, 0.3, 2.0),
+         (2.0, 1.0, 0.05, 0.5, 1.0), (0.5, 2.0, 0.1, 0.0, 0.0)],
+    )
+    def test_bit_exact_rescaling(self, lam, t_m, t_h, p_s, t_s, strategy):
+        cfg = SimConfig(rounds=5_000, seed=9)
+        base = simulate_many(ScenarioParams(lam, t_m, t_h, p_s, t_s), strategy, cfg)
+        for c in (2.0**-10, 2.0, 2.0**10):
+            p = ScenarioParams(lam * c, t_m / c, t_h / c, p_s, t_s / c)
+            s = simulate_many(p, strategy, cfg)
+            for name in self.COUNTS:
+                assert getattr(s, name) == getattr(base, name), (c, name)
+            assert (s.r2_estimate, s.r2_std_error) == (base.r2_estimate, base.r2_std_error)
+            for name in self.TIMES:
+                got, want = getattr(s, name), getattr(base, name)
+                assert got.n == want.n
+                assert got.mean == want.mean / c, (c, name)
+                assert got.std_error == want.std_error / c, (c, name)
+                assert got.ci95_half_width == want.ci95_half_width / c, (c, name)
 
 
 class TestRatioEstimate:
