@@ -110,10 +110,12 @@ def expected_t1_sc(
         integral over (0, t_m] of expected_t_given_tau(s) * pdf_tau1_sc(s) ds
 
     ``method="quadrature"`` evaluates that integral directly and is the
-    ground truth for every downstream consumer. ``method="closed_form"``
-    evaluates the equivalent dilogarithm expression on the principal branch
-    and returns its real part; use build_report to see the (tiny) deviation
-    between the two routes.
+    ground truth for every downstream consumer. ``tol`` is relative to the
+    window: the absolute target is tol * t_m, so (lam c, t_m / c) gives the
+    result divided by c. ``method="closed_form"`` evaluates the equivalent
+    dilogarithm expression on the principal branch and returns its real
+    part; use build_report to see the (tiny) deviation between the two
+    routes.
 
     Note the composition ignores that larger first windows are more likely
     to contain a second arrival at all, so it sits below the simulated
@@ -133,7 +135,8 @@ def expected_t1_sc(
         def integrand(s: float) -> float:
             return _pdf_tau1(s, params) * cond_max_mean(lam * s) / lam
 
-        return integrate(integrand, 0.0, t_m, tol)
+        # tol * t_m underflows to 0 only below t_m ~ 5e-315; keep it positive
+        return integrate(integrand, 0.0, t_m, max(tol * t_m, math.ulp(0.0)))
     if method == "closed_form":
         x = lam * t_m
         big = math.exp(x)
@@ -165,14 +168,12 @@ def expected_handoffs_sm(params: ScenarioParams) -> float:
     return math.expm1(params.lam * params.t_m)
 
 
-def _window_pair(params: ScenarioParams, tol: float) -> float:
+def _window_pair(params: ScenarioParams) -> float:
     # E[tau1] + E[t1], the mean first-window pair the sc approximations share
-    return expected_tau1_sc(params) + expected_t1_sc(params, tol=tol)
+    return expected_tau1_sc(params) + expected_t1_sc(params)
 
 
-def expected_unserved_per_round(
-    params: ScenarioParams, n: int, tol: float = DEFAULT_QUAD_TOL
-) -> float:
+def expected_unserved_per_round(params: ScenarioParams, n: int) -> float:
     """Mean count of relays never ridden, given n handoffs (approximation).
 
     Skipped relays accumulate at rate lam over windows whose mean length is
@@ -183,27 +184,27 @@ def expected_unserved_per_round(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
-    return _unserved(params, n, _window_pair(params, tol))
+    return _unserved(params, n, _window_pair(params))
 
 
 def _unserved(params: ScenarioParams, n: int, pair: float) -> float:
     return n * params.lam * pair / 2.0
 
 
-def expected_handoffs_sc(params: ScenarioParams, tol: float = DEFAULT_QUAD_TOL) -> float:
+def expected_handoffs_sc(params: ScenarioParams) -> float:
     """Mean handoff count per round under latest-at-expiry (approximation).
 
     2 E[M_serve_all] / (lam (E[tau1] + E[t1]) + 2); never exceeds the
     serve-all count.
     """
-    return _handoffs_sc(params, _window_pair(params, tol))
+    return _handoffs_sc(params, _window_pair(params))
 
 
 def _handoffs_sc(params: ScenarioParams, pair: float) -> float:
     return 2.0 * expected_handoffs_sm(params) / (params.lam * pair + 2.0)
 
 
-def ratio_t2_sc(params: ScenarioParams, tol: float = DEFAULT_QUAD_TOL) -> float:
+def ratio_t2_sc(params: ScenarioParams) -> float:
     """Fraction of a cycle spent served under latest-at-expiry.
 
     (1 - P_V) - 2 (1 - P_V) t_h / (E[tau1] + E[t1] + 2 / lam), with
@@ -213,7 +214,7 @@ def ratio_t2_sc(params: ScenarioParams, tol: float = DEFAULT_QUAD_TOL) -> float:
     otherwise. Large t_h can push the raw value negative; callers that need
     a flag should use build_report.
     """
-    return _ratio_t2_sc(params, lambda: _window_pair(params, tol))
+    return _ratio_t2_sc(params, lambda: _window_pair(params))
 
 
 def _ratio_t2_sc(params: ScenarioParams, pair) -> float:
@@ -243,9 +244,14 @@ def p_s_prime(params: ScenarioParams) -> float:
 def p_s_delta(params: ScenarioParams) -> float:
     """Drift of the effective stop probability, p_s_prime - p_s.
 
-    May be negative (small t_s with sizable p_s e^(-lam t_m)); always < 1.
+    Evaluated as (1 - p_s) a - p_s q e^(-lam t_m), with q = e^(-p_s lam t_s)
+    and a = 1 - q by expm1, which keeps the digits the difference loses to
+    cancellation (all of them at p_s = 1 and large p_s lam t_s). Negative
+    when the second term wins, for instance at small t_s; always in (-1, 1).
     """
-    return p_s_prime(params) - params.p_s
+    x = params.p_s * params.lam * params.t_s
+    return ((1.0 - params.p_s) * -math.expm1(-x)
+            - params.p_s * math.exp(-x) * p_vertical(params))
 
 
 def _geom_sum(delta: float, terms: int) -> float:
@@ -352,9 +358,9 @@ def _stopping_sum(params: ScenarioParams) -> tuple[float, int]:
     pv, w, v = _level_weights(params)
     delta = p_s_delta(params)
     e = -math.expm1(-params.lam * params.t_m)  # 1 - pv
-    if pv * w == 0.0:
-        raise OverflowError("stopping series exceeds the float range: "
-                            "its limit level underflows to 0")
+    if not pv * w > 0.0:  # underflowed to 0, or NaN from a NaN level
+        raise OverflowError("stopping series has no finite sum: "
+                            f"its limit level is {pv * w!r}")
     # the lowest level: the limit when delta >= 0, else the first level
     # pv (1 - p_s a), written as pv ((1 - p_s) + p_s q)
     q = math.exp(-params.p_s * params.lam * params.t_s)
@@ -491,26 +497,27 @@ def _emitted(method: str):
 
 @dataclass(frozen=True)
 class AnalyticReport:
-    """Every closed-form quantity for one scenario, plus method bookkeeping.
+    """Every closed-form quantity for one scenario.
 
     Field order is the row order of the ``analytic`` command. It emits only
-    the fields that carry a method in their ``dataclasses.field`` metadata:
-    "method" names it, or "method_field" names the field that holds it.
-    ``e_t1_sc`` holds the value selected by ``t1_method``;
-    ``t1_closed_deviation`` is |closed_form - quadrature| so the two routes
-    can be audited without re-deriving either. ``r2_*_negative`` flag ratios
-    that came out below zero (physically meaningless, numerically possible
-    for large t_h). ``truncation_terms`` counts the factors of the stopping
-    series multiplied out before its exact geometric tail. ``failures``
-    pairs each field that could not be evaluated (NaN, or a non-finite
-    value) with the reason.
+    the fields whose ``dataclasses.field`` metadata names a "method".
+    ``e_t1_sc`` is the quadrature route, the ground truth, and
+    ``e_t1_sc_closed`` the dilogarithm route; ``t1_closed_deviation`` is
+    |closed_form - quadrature| so the two routes can be audited without
+    re-deriving either. ``r2_*_negative`` flag ratios that came out below
+    zero (physically meaningless, numerically possible for large t_h).
+    ``truncation_terms`` counts the factors of the stopping series
+    multiplied out before its exact geometric tail. ``failures`` pairs each
+    field that could not be evaluated (NaN, or a non-finite value) with the
+    reason. Four quantities only the comparison harness reads are
+    properties, derived on access: ``e_idle_gap`` (1 / lam), ``e_t2_sc``,
+    ``e_unserved_sc`` and ``e_unserved_sm``.
     """
 
     params: ScenarioParams
     p_v: float = _emitted("closed_form")
     e_tau1_sc: float = _emitted("closed_form")
-    e_t1_sc: float = field(metadata={"method_field": "t1_method"})
-    t1_method: str
+    e_t1_sc: float = _emitted("quadrature")
     e_t1_sc_closed: float = _emitted("closed_form")
     t1_closed_deviation: float = _emitted("")
     e_m_sm: float = _emitted("closed_form")
@@ -532,6 +539,26 @@ class AnalyticReport:
     r2_sm_stop_negative: bool
     failures: tuple[tuple[str, str], ...] = ()
 
+    @property
+    def e_idle_gap(self) -> float:
+        """Mean idle gap before a round, 1 / lam: Exp(lam) under either policy (exact)."""
+        return 1.0 / self.params.lam
+
+    @property
+    def e_t2_sc(self) -> float:
+        """Mean served duration of a plain round, (1 - P_V) / (lam P_V) (exact)."""
+        return -math.expm1(-self.params.lam * self.params.t_m) / (self.params.lam * self.p_v)
+
+    @property
+    def e_unserved_sc(self) -> float:
+        """Unridden relays per round under latest-at-expiry, e_m_sm - e_m_sc (approximation)."""
+        return self.e_m_sm - self.e_m_sc
+
+    @property
+    def e_unserved_sm(self) -> float:
+        """Unridden relays per round under serve-all without stopping: none (exact)."""
+        return 0.0
+
 
 def _attempt(compute):
     # the value of compute(), or the numerical error it raised
@@ -548,11 +575,7 @@ def _value(result):
     return result
 
 
-def build_report(
-    params: ScenarioParams,
-    quad_tol: float = DEFAULT_QUAD_TOL,
-    t1_method: str = "quadrature",
-) -> AnalyticReport:
+def build_report(params: ScenarioParams) -> AnalyticReport:
     """Evaluate the full closed-form battery for one scenario.
 
     Each intermediate shared by several fields (the first-gap quadrature,
@@ -563,20 +586,7 @@ def build_report(
     needs it. Each such field, and each field that came out infinite or NaN
     without raising, is listed in ``failures`` with the reason. The other
     fields are unaffected.
-
-    Args:
-        params: validated scenario.
-        quad_tol: absolute tolerance for the first-gap quadrature.
-        t1_method: which first-gap route lands in e_t1_sc
-            ("quadrature", the ground truth, or "closed_form").
-
-    Raises:
-        ValueError: on an unknown t1_method or a quad_tol that is not positive.
     """
-    if t1_method not in ("quadrature", "closed_form"):
-        raise ValueError(f"t1_method must be 'quadrature' or 'closed_form', got {t1_method!r}")
-    if not quad_tol > 0.0:
-        raise ValueError(f"quad_tol must be positive, got {quad_tol!r}")
     failures: dict[str, str] = {}
 
     def cell(name, compute):
@@ -588,7 +598,7 @@ def build_report(
             failures[name] = f"not finite ({result!r})"
         return result
 
-    t1_quad = _attempt(lambda: expected_t1_sc(params, "quadrature", quad_tol))
+    t1_quad = _attempt(lambda: expected_t1_sc(params, "quadrature"))
     t1_closed = _attempt(lambda: expected_t1_sc(params, "closed_form"))
     pair = _attempt(lambda: expected_tau1_sc(params) + _value(t1_quad))
     stop = _attempt(lambda: _stopping_sum(params))
@@ -603,9 +613,7 @@ def build_report(
         params=params,
         p_v=cell("p_v", lambda: p_vertical(params)),
         e_tau1_sc=cell("e_tau1_sc", lambda: expected_tau1_sc(params)),
-        e_t1_sc=cell("e_t1_sc", lambda: _value(
-            t1_quad if t1_method == "quadrature" else t1_closed)),
-        t1_method=t1_method,
+        e_t1_sc=cell("e_t1_sc", lambda: _value(t1_quad)),
         e_t1_sc_closed=cell("e_t1_sc_closed", lambda: _value(t1_closed)),
         t1_closed_deviation=cell("t1_closed_deviation",
                                  lambda: abs(_value(t1_closed) - _value(t1_quad))),

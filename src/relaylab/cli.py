@@ -9,11 +9,13 @@ Commands:
 Rows share one schema, the fields of CompareRow, so every output is a
 plot-ready table; each row embeds the full scenario, rounds, and seed, making
 it reproducible from the file alone. Which quantity is compared with which
-formula, by which method and under which tier is declared once, in the
-quantity table _QUANTITIES. Comparison rows are tiered: "hard" rows are
-exact results the simulation must confirm (the command exits 2 if one misses
-by more than three standard errors), "soft" rows are approximations whose
-error is reported, never gated. Sweeps only report; they never gate.
+attribute of the point's AnalyticReport, by which method and under which
+tier is declared once, in the quantity table _QUANTITIES; a value the report
+could not evaluate is an empty cell with a note, as in `analytic`.
+Comparison rows are tiered: "hard" rows are exact results the simulation
+must confirm (the command exits 2 if one misses by more than three standard
+errors or is empty), "soft" rows are approximations whose error is
+reported, never gated. Sweeps only report; they never gate.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from csv import writer as csv_writer
 from dataclasses import asdict, dataclass, fields
 
 from .model import ScenarioParams, SimConfig, Strategy
-from .numerics import MeanCI, trunc_mean
+from .numerics import MeanCI
 from . import analytic
 from .sim import simulate_many, trace_rounds
 
@@ -289,10 +291,16 @@ def _row(params, strategy, rounds, seed, quantity, analytic_value, method,
     )
 
 
-_REPORT_ROWS = tuple(
-    (f.name, f.metadata.get("method"), f.metadata.get("method_field"))
-    for f in fields(analytic.AnalyticReport) if f.metadata
-)
+_REPORT_ROWS = tuple((f.name, f.metadata["method"])
+                     for f in fields(analytic.AnalyticReport) if f.metadata)
+
+
+def _note_failures(report, names) -> None:
+    """One stderr note per failed report field among `names`, in order."""
+    failures = dict(report.failures)
+    for name in names:
+        if name in failures:
+            print(f"relaylab: note: {name} left empty: {failures[name]}", file=sys.stderr)
 
 
 def run_analytic(spec: RunSpec) -> list[CompareRow]:
@@ -302,17 +310,9 @@ def run_analytic(spec: RunSpec) -> list[CompareRow]:
     one note on stderr naming it; every other row is unaffected.
     """
     rep = analytic.build_report(spec.params)
-    failures = dict(rep.failures)
-    for name, _, _ in _REPORT_ROWS:
-        if name in failures:
-            print(f"relaylab: note: {name} left empty: {failures[name]}", file=sys.stderr)
-    return [
-        _row(spec.params, spec.strategy, None, None, name,
-             float(getattr(rep, name)),
-             method if method_field is None else getattr(rep, method_field),
-             None, None, "")
-        for name, method, method_field in _REPORT_ROWS
-    ]
+    _note_failures(rep, (name for name, _ in _REPORT_ROWS))
+    return [_row(spec.params, spec.strategy, None, None, name, float(getattr(rep, name)),
+                 method, None, None, "") for name, method in _REPORT_ROWS]
 
 
 def _sim_estimates(summary) -> dict[str, tuple[float, float]]:
@@ -337,10 +337,6 @@ def _plain(p):
     return p.p_s == 0.0
 
 
-def _stopping(p):
-    return p.p_s != 0.0
-
-
 def _plain_dynamics(p):
     return not p.stopping
 
@@ -353,55 +349,33 @@ def _free_handoff(p):
     return p.t_h == 0.0
 
 
-# the idle gap before a round is Exp(lam) under either policy
-_T1_DURATION = ("t1_duration", "closed_form", lambda p, got: 1.0 / p.lam, _always, _always)
-
 # The quantity table: one entry per comparison row, in output order.
-# (stat, method, formula(params, got), hard(params), applies(params)); `got`
-# maps each stat already computed at this point to its first analytic value.
-# Formulas reach the closed forms through the `analytic` module attribute at
-# call time, so a stand-in module there sees every call.
+# (stat, method, report attribute, hard(params), applies(params)). A report
+# property reads only fields that its table's rows read too (e_m_sc fails
+# whenever e_m_sm does), so the notes for those rows cover it.
 _QUANTITIES = {
     Strategy.SC_LATEST_AT_EXPIRY: (
-        ("p_vertical", "closed_form", lambda p, got: analytic.p_vertical(p), _always, _always),
-        ("first_service_offset", "closed_form",
-         lambda p, got: analytic.expected_tau1_sc(p), _always, _always),
-        ("first_gap_offset", "quadrature",
-         lambda p, got: analytic.expected_t1_sc(p), _never, _always),
-        ("m_handoffs", "closed_form",
-         lambda p, got: analytic.expected_handoffs_sc(p), _never, _always),
-        ("u_unserved", "closed_form",
-         lambda p, got: analytic.expected_handoffs_sm(p) - got["m_handoffs"], _never, _always),
-        ("t2_duration", "closed_form",
-         lambda p, got: -math.expm1(-p.lam * p.t_m) / (p.lam * got["p_vertical"]),
-         _always, _always),
-        _T1_DURATION,
-        ("r2", "closed_form", lambda p, got: analytic.ratio_t2_sc(p), _free_handoff, _always),
+        ("p_vertical", "closed_form", "p_v", _always, _always),
+        ("first_service_offset", "closed_form", "e_tau1_sc", _always, _always),
+        ("first_gap_offset", "quadrature", "e_t1_sc", _never, _always),
+        ("m_handoffs", "closed_form", "e_m_sc", _never, _always),
+        ("u_unserved", "closed_form", "e_unserved_sc", _never, _always),
+        ("t2_duration", "closed_form", "e_t2_sc", _always, _always),
+        ("t1_duration", "closed_form", "e_idle_gap", _always, _always),
+        ("r2", "closed_form", "r2_sc", _free_handoff, _always),
     ),
     Strategy.SM_SERVE_ALL: (
-        ("p_vertical", "closed_form",
-         lambda p, got: analytic.p_vertical_hat(p, 1), _always, _always),
-        ("first_service_offset", "closed_form",
-         lambda p, got: trunc_mean(p.lam * p.t_m, p.lam), _always, _plain),
-        ("first_service_offset", "closed_form",
-         lambda p, got: analytic.expected_service_sm_stopping(p, 1), _never, _stopping),
-        ("first_gap_offset", "closed_form",
-         lambda p, got: trunc_mean(p.lam * p.t_m, p.lam), _always, _plain),
-        ("first_gap_offset", "closed_form",
-         lambda p, got: analytic.expected_service_sm_stopping(p, 2), _never, _stopping),
-        ("m_handoffs", "closed_form",
-         lambda p, got: analytic.expected_handoffs_sm(p), _always, _plain_dynamics),
-        ("m_handoffs", "series_sum",
-         lambda p, got: analytic.expected_handoffs_sm_stopping_sum(p), _never,
-         _stopping_dynamics),
-        ("m_handoffs", "geometric",
-         lambda p, got: analytic.expected_handoffs_sm_stopping_geo(p), _never,
-         _stopping_dynamics),
-        ("u_unserved", "closed_form", lambda p, got: 0.0, _always, _plain_dynamics),
-        ("t2_duration", "closed_form",
-         lambda p, got: analytic.expected_t2_stopping(p), _plain, _always),
-        _T1_DURATION,
-        ("r2", "closed_form", lambda p, got: analytic.ratio_t2_sm_stopping(p), _plain, _always),
+        ("p_vertical", "closed_form", "p_v_hat_1", _always, _always),
+        # the ride means reduce to the exact trunc_mean(lam t_m, lam) at p_s = 0
+        ("first_service_offset", "closed_form", "e_tau_sm_stop_1", _plain, _always),
+        ("first_gap_offset", "closed_form", "e_tau_sm_stop_2", _plain, _always),
+        ("m_handoffs", "closed_form", "e_m_sm", _always, _plain_dynamics),
+        ("m_handoffs", "series_sum", "e_m_sm_stop_sum", _never, _stopping_dynamics),
+        ("m_handoffs", "geometric", "e_m_sm_stop_geo", _never, _stopping_dynamics),
+        ("u_unserved", "closed_form", "e_unserved_sm", _always, _plain_dynamics),
+        ("t2_duration", "closed_form", "a2_tilde", _plain, _always),
+        ("t1_duration", "closed_form", "e_idle_gap", _always, _always),
+        ("r2", "closed_form", "r2_sm_stop", _plain, _always),
     ),
 }
 
@@ -412,20 +386,17 @@ def _point_rows(params: ScenarioParams, strategy: Strategy, rounds: int,
     with compare=False every simulated statistic, analytic columns empty."""
     summary = simulate_many(params, strategy, SimConfig(rounds=rounds, seed=seed))
     estimates = _sim_estimates(summary)
-    rows = []
     if compare:
-        got: dict[str, float] = {}
-        for stat, method, formula, hard, applies in _QUANTITIES[strategy]:
-            if applies(params):
-                value = formula(params, got)
-                got.setdefault(stat, value)
-                rows.append(_row(params, strategy, rounds, seed, stat, value, method,
-                                 *estimates[stat],
-                                 "hard" if hard(params) else "soft"))
+        rep = analytic.build_report(params)
+        table = [(stat, method, attr, hard) for stat, method, attr, hard, applies
+                 in _QUANTITIES[strategy] if applies(params)]
+        _note_failures(rep, (attr for _, _, attr, _ in table))
+        rows = [_row(params, strategy, rounds, seed, stat, getattr(rep, attr), method,
+                     *estimates[stat], "hard" if hard(params) else "soft")
+                for stat, method, attr, hard in table]
     else:
-        for stat, estimate in estimates.items():
-            rows.append(_row(params, strategy, rounds, seed, stat, None, "",
-                             *estimate, ""))
+        rows = [_row(params, strategy, rounds, seed, stat, None, "", *estimate, "")
+                for stat, estimate in estimates.items()]
     if summary.experimental:
         rows.append(_row(params, strategy, rounds, seed, "experimental_flag",
                          None, "", 1.0, 0.0, ""))
@@ -461,7 +432,8 @@ def run_sweep(spec: RunSpec) -> list[CompareRow]:
 
 
 def hard_violations(rows) -> list[CompareRow]:
-    """Hard-tier rows whose |analytic - sim| exceeds 3 standard errors.
+    """Hard-tier rows with a simulated CI and no analytic value, or whose
+    |analytic - sim| exceeds 3 standard errors.
 
     The standard error is recovered from the 95% half-width; a 1e-12
     cushion keeps zero-variance exact rows from tripping on representation
@@ -469,10 +441,10 @@ def hard_violations(rows) -> list[CompareRow]:
     """
     bad = []
     for r in rows:
-        if r.tier != "hard" or r.abs_err is None or r.sim_ci95 is None:
+        if r.tier != "hard" or r.sim_ci95 is None:
             continue
         se = r.sim_ci95 / 1.96
-        if not r.abs_err <= 3.0 * se + _GATE_CUSHION:
+        if r.abs_err is None or not r.abs_err <= 3.0 * se + _GATE_CUSHION:
             bad.append(r)
     return bad
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -10,6 +12,8 @@ from relaylab.numerics import integrate, trunc_mean
 
 P11 = ScenarioParams(lam=1.0, t_m=1.0)
 STOP = ScenarioParams(lam=1.0, t_m=1.0, p_s=0.3, t_s=2.0)
+# the derived quantities of the report, which the `analytic` command does not emit
+_DERIVED = [n for n, v in vars(analytic.AnalyticReport).items() if isinstance(v, property)]
 
 
 def poisson_weighted_max_mean(rate: float, terms: int = 120) -> float:
@@ -155,8 +159,8 @@ class TestHandoffCounts:
         # m_sc * (1 + unserved per handoff) = m_sm
         for lam in (0.5, 1.0, 2.0):
             p = ScenarioParams(lam=lam, t_m=1.0)
-            pair = analytic.expected_tau1_sc(p) + analytic.expected_t1_sc(p, tol=1e-11)
-            m_sc = analytic.expected_handoffs_sc(p, tol=1e-11)
+            pair = analytic.expected_tau1_sc(p) + analytic.expected_t1_sc(p)
+            m_sc = analytic.expected_handoffs_sc(p)
             assert m_sc * (1.0 + lam * pair / 2.0) == pytest.approx(
                 analytic.expected_handoffs_sm(p), rel=1e-9
             )
@@ -361,15 +365,27 @@ class TestReport:
         assert rep.p_v_hat_1 == analytic.p_vertical_hat(STOP, 1)
         assert not rep.r2_sc_negative
         assert not rep.r2_sm_stop_negative
+        # e_t1_sc is the quadrature route, e_t1_sc_closed the dilog route
+        assert rep.e_t1_sc == analytic.expected_t1_sc(STOP, "quadrature")
+        assert rep.e_t1_sc_closed == analytic.expected_t1_sc(STOP, "closed_form")
 
-    def test_report_method_switch(self):
-        quad = analytic.build_report(P11, t1_method="quadrature")
-        closed = analytic.build_report(P11, t1_method="closed_form")
-        assert quad.e_t1_sc == quad.e_t1_sc
-        assert closed.e_t1_sc == closed.e_t1_sc_closed
-        assert quad.t1_method == "quadrature"
-        with pytest.raises(ValueError):
-            analytic.build_report(P11, t1_method="guess")
+    def test_derived_properties(self):
+        assert sorted(_DERIVED) == ["e_idle_gap", "e_t2_sc", "e_unserved_sc", "e_unserved_sm"]
+        for p in (P11, ScenarioParams(lam=0.5, t_m=2.0, t_h=0.1)):
+            rep = analytic.build_report(p)
+            assert rep.e_idle_gap == 1.0 / p.lam
+            assert rep.e_t2_sc == pytest.approx(rep.e_m_sm / p.lam, rel=1e-14)
+            assert rep.e_unserved_sc == (analytic.expected_handoffs_sm(p)
+                                         - analytic.expected_handoffs_sc(p))
+            assert rep.e_unserved_sm == 0.0
+
+    def test_plain_ride_means_are_the_truncated_mean(self):
+        # compare gates both ride means as exact when p_s = 0
+        for lam, t_m, t_s in itertools.product((1e-6, 0.3, 1.0, 4.0, 13.0),
+                                               (0.01, 1.0, 7.0), (0.0, 2.0)):
+            rep = analytic.build_report(ScenarioParams(lam=lam, t_m=t_m, t_s=t_s))
+            want = trunc_mean(lam * t_m, lam)
+            assert rep.e_tau_sm_stop_1 == want and rep.e_tau_sm_stop_2 == want
 
     def test_negative_ratio_flagged(self):
         rep = analytic.build_report(ScenarioParams(lam=1.0, t_m=1.0, t_h=10.0))
@@ -383,6 +399,83 @@ class TestReport:
             for l in (0.5, 1, 2, 4)
         ]
         assert ms == sorted(ms)
+
+
+# report fields and properties measured in time; every other one is a count,
+# a probability or a ratio
+_TIME_FIELDS = {"e_tau1_sc", "e_t1_sc", "e_t1_sc_closed", "t1_closed_deviation",
+                "e_tau_sm_stop_1", "e_tau_sm_stop_2", "a2_tilde", "e_idle_gap", "e_t2_sc"}
+
+SCALE_CASES = [
+    P11,
+    ScenarioParams(lam=0.5, t_m=2.0, t_h=0.1),
+    STOP,
+    ScenarioParams(lam=2.0, t_m=1.0, t_h=0.05, p_s=0.5, t_s=1.0),
+    ScenarioParams(lam=3.0, t_m=0.7, p_s=1.0, t_s=4.0),
+]
+
+
+class TestTimeUnit:
+    """The report is exact under a change of time unit by a power of two."""
+
+    @pytest.mark.parametrize("c", [2.0**-10, 2.0, 2.0**10])
+    @pytest.mark.parametrize("p", SCALE_CASES, ids=repr)
+    def test_report_scales_exactly(self, p, c):
+        # (lam c, t_m / c, t_h / c, p_s, t_s / c) is p with time measured in
+        # units of 1 / c: time fields are divided by c, the rest unchanged
+        base = analytic.build_report(p)
+        scaled = analytic.build_report(ScenarioParams(
+            lam=p.lam * c, t_m=p.t_m / c, t_h=p.t_h / c, p_s=p.p_s, t_s=p.t_s / c))
+        assert base.failures == scaled.failures == ()
+        names = [f.name for f in fields(analytic.AnalyticReport)
+                 if f.name not in ("params", "failures")]
+        for name in names + _DERIVED:
+            want = getattr(base, name)
+            if name in _TIME_FIELDS:
+                want /= c
+            assert getattr(scaled, name) == want, name
+
+
+def _mp_drift(p: ScenarioParams, dps: int = 50):
+    """(delta, p_vertical_hat(1)) at dps digits, from the paper's forms.
+
+    delta = p_s' - p_s with p_s' = a + (1 - a)(1 - pv) p_s, and the first
+    level pv (1 - p_s a). The difference loses up to p_s lam t_s / ln 10
+    digits, which the 50 working digits absorb for every case below.
+    """
+    with mpmath.workdps(dps):
+        lam, t_m, p_s, t_s = (mpmath.mpf(x) for x in (p.lam, p.t_m, p.p_s, p.t_s))
+        pv = mpmath.exp(-lam * t_m)
+        a = 1 - mpmath.exp(-p_s * lam * t_s)
+        return a + (1 - a) * (1 - pv) * p_s - p_s, pv * (1 - p_s * a)
+
+
+DRIFT_CASES = [
+    STOP,
+    ScenarioParams(lam=1.0, t_m=1.0, p_s=0.5, t_s=0.01),     # delta < 0
+    ScenarioParams(lam=1.0, t_m=1.0, p_s=1.0, t_s=20.0),
+    ScenarioParams(lam=1.0, t_m=1.0, p_s=1.0, t_s=30.0),
+    ScenarioParams(lam=1.0, t_m=1.0, p_s=0.9, t_s=20.0),
+    ScenarioParams(lam=1.0, t_m=1.0, p_s=0.3, t_s=30.0),
+    ScenarioParams(lam=0.49, t_m=0.0119, p_s=1.0, t_s=93.8),  # level 1 near e^-46
+    ScenarioParams(lam=4.0, t_m=1.0, p_s=1.0, t_s=2.0),
+    ScenarioParams(lam=1e-4, t_m=1.0, p_s=1.0, t_s=1.0),     # delta near -1
+]
+
+
+class TestDriftPrecision:
+    """The drift and the first level against a 50-digit evaluation."""
+
+    @pytest.mark.parametrize("p", DRIFT_CASES, ids=repr)
+    def test_drift(self, p):
+        want, _ = _mp_drift(p)
+        assert abs(analytic.p_s_delta(p) - float(want)) <= 1e-13 * abs(float(want))
+
+    @pytest.mark.parametrize("p", DRIFT_CASES, ids=repr)
+    def test_first_level(self, p):
+        _, want = _mp_drift(p)
+        got = analytic.p_vertical_hat(p, 1)
+        assert abs(got - float(want)) <= 1e-13 * float(want)
 
 
 def _mp_stopping(p: ScenarioParams, dps: int = 60):
@@ -498,11 +591,6 @@ class TestReportIsolation:
         assert "rounds to 0" in failed["e_t1_sc_closed"]
         assert "t1_closed_deviation" in failed
         assert rep.p_v == 1.0 and "p_v" not in failed
-
-    def test_bad_argument_is_not_isolated(self):
-        # only numerical failures become empty cells; a bad call raises
-        with pytest.raises(ValueError, match="quad_tol"):
-            analytic.build_report(STOP, quad_tol=0.0)
 
     def test_shared_values_match_the_public_functions(self):
         # the report evaluates each shared intermediate once; the values

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -16,6 +17,7 @@ from relaylab.cli import (
     run_sweep,
 )
 from relaylab.model import ScenarioParams, Strategy
+from relaylab.numerics import QuadratureError
 
 
 def make_row(**overrides):
@@ -271,6 +273,34 @@ class TestAnalyticCommand:
         assert captured.err == ""
 
 
+class TestTimeUnit:
+    """A scenario in another time unit, (lam c, t_m / c), has the same answers."""
+
+    def test_compare_in_a_long_time_unit(self, capsys):
+        # lam = t_m = 1 with the time unit shrunk by 1e9
+        argv = ["--strategy", "sc", "--rounds", "2000", "--seed", "1", "--format", "json"]
+        assert main(["compare", "--lambda", "1e-9", "--tm", "1e9", *argv]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        long_unit = json.loads(captured.out)
+        assert main(["compare", "--lambda", "1", "--tm", "1", *argv]) == 0
+        unit = json.loads(capsys.readouterr().out)
+        times = {"first_service_offset", "first_gap_offset", "t2_duration", "t1_duration"}
+        for row, want in zip(long_unit, unit):
+            scale = 1e9 if row["quantity"] in times else 1.0
+            assert row["analytic"] == pytest.approx(want["analytic"] * scale, rel=1e-12)
+
+    def test_first_gap_quadrature_converges_over_a_long_window(self, capsys):
+        assert main(["analytic", "--lambda", "5", "--tm", "1e5", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        rows = {r["quantity"]: r["analytic"] for r in json.loads(captured.out)}
+        # E[t1] = t_m - 2 / lam once e^(-lam t_m) is negligible
+        assert rows["e_t1_sc"] == pytest.approx(1e5 - 2.0 / 5.0, rel=1e-9)
+        assert rows["e_unserved_per_handoff"] is not None
+        assert "e_t1_sc left empty" not in captured.err
+        assert "e_unserved_per_handoff left empty" not in captured.err
+
+
 class TestCompareCommand:
     def test_plain_latest_at_expiry_tiers(self):
         spec = parse_run_spec(
@@ -334,8 +364,12 @@ class TestGate:
         assert hard_violations([row]) == []
 
     def test_incomplete_rows_skipped(self):
-        row = make_row(analytic=None, sim_mean=1.0, abs_err=None, rel_err=None)
+        row = make_row(sim_mean=None, sim_ci95=None, abs_err=None, rel_err=None)
         assert hard_violations([row]) == []
+
+    def test_empty_analytic_cell_flagged(self):
+        row = make_row(analytic=None, sim_mean=1.0, abs_err=None, rel_err=None)
+        assert hard_violations([row]) == [row]
 
     def test_exact_zero_error_rows_pass_despite_zero_width(self):
         row = make_row(analytic=0.0, sim_mean=0.0, sim_ci95=0.0,
@@ -428,6 +462,46 @@ class TestMain:
         )
         assert code == 2
         assert "hard-tier violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy, closed_form, field", [
+        ("sm", "p_vertical_hat", "p_v_hat_1"),
+        ("sc", "p_vertical", "p_v"),
+    ])
+    def test_gate_exit_on_empty_hard_cell(self, capsys, monkeypatch, strategy,
+                                          closed_form, field):
+        # a hard row the report cannot evaluate has nothing to confirm: it
+        # is left empty with its note, and it fails the gate
+        monkeypatch.setattr(cli.analytic, closed_form, lambda params, *j: math.nan)
+        code = main(
+            ["compare", "--lambda", "1", "--tm", "1", "--strategy", strategy,
+             "--rounds", "5000", "--seed", "9"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"relaylab: note: {field} left empty: not finite (nan)" in err
+        assert "hard-tier violation: p_vertical" in err
+
+    def test_compare_and_sweep_note_each_failed_field_once(self, capsys, monkeypatch):
+        def stuck(*args):
+            raise QuadratureError("stuck", 0.0)
+
+        monkeypatch.setattr(cli.analytic, "integrate", stuck)
+        argv = ["--lambda", "1", "--tm", "1", "--strategy", "sc", "--rounds", "500",
+                "--format", "json"]
+        assert main(["compare", *argv]) == 0
+        captured = capsys.readouterr()
+        rows = {r["quantity"]: r["analytic"] for r in json.loads(captured.out)}
+        # the unserved count reads e_m_sc too, which is noted once
+        assert [q for q, v in rows.items() if v is None] == [
+            "first_gap_offset", "m_handoffs", "u_unserved"]
+        assert captured.err.splitlines() == [
+            "relaylab: note: e_t1_sc left empty: stuck",
+            "relaylab: note: e_m_sc left empty: stuck",
+        ]
+        assert main(["sweep", *argv, "--th", "0.1"]) == 0
+        notes = capsys.readouterr().err.splitlines()
+        assert [n.split(":")[2] for n in notes] == [
+            " e_t1_sc left empty", " e_m_sc left empty", " r2_sc left empty"]
 
     def test_unwritable_out_exit(self, capsys, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "x.csv"

@@ -32,6 +32,7 @@ def _log_uniform(lo: float, hi: float):
 )
 @example(lam=800.0, t_m=1.0, t_h=0.0, p_s=0.0, t_s=0.0)         # overflow
 @example(lam=1e-300, t_m=1e-300, t_h=0.0, p_s=0.0, t_s=0.0)     # lam t_m underflows
+@example(lam=1.0, t_m=1e-320, t_h=0.0, p_s=0.0, t_s=0.0)        # tol * t_m underflows
 @example(lam=1.0, t_m=1.0, t_h=0.0, p_s=1e-5, t_s=1e7)          # series guard
 def test_analytic_cells_are_finite_or_noted(lam, t_m, t_h, p_s, t_s):
     evals = 0
